@@ -8,14 +8,33 @@ matrix), which is exactly the "multi-output Gradient Boosting Model"
 ``GradientBoostingClassifier`` is softmax boosting: each stage fits one
 multi-output tree to the (one-hot − softmax) gradient matrix.
 ``LightGBMClassifier`` is the same booster with LightGBM-flavoured
-defaults (more, shallower trees, stronger shrinkage); true leaf-wise
-histogram growth is out of scope and documented in DESIGN.md.
+defaults (more, shallower trees, stronger shrinkage); its trees grow
+depth-wise like every other tree here, and true leaf-wise growth is out
+of scope and documented in DESIGN.md.
+
+``X`` is the same at every stage, so a booster bins it once per fit and
+hands the bin codes to every stage's tree. A fitted booster packs its
+trees into one :class:`~repro.ml.tree.TreeStack` and predicts all stages
+in one pass.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.tree import RegressionTree
+from repro.ml.tree import RegressionTree, TreeStack, bin_features
+
+
+def _staged_sum(init: np.ndarray, lr: float, stack: TreeStack, X) -> np.ndarray:
+    """``init + lr·tree_1(X) + lr·tree_2(X) + …`` for every row of ``X``.
+
+    ``cumsum`` adds the stages one at a time in fit order, so the sum is
+    the same, to the last bit, as a loop of ``F += lr * tree.predict(X)``.
+    """
+    U = stack.predict(X)
+    A = np.empty((U.shape[1] + 1, U.shape[0], U.shape[2]))
+    A[0] = init
+    A[1:] = lr * U.transpose(1, 0, 2)
+    return np.cumsum(A, axis=0)[-1]
 
 
 def _softmax(F: np.ndarray) -> np.ndarray:
@@ -46,22 +65,20 @@ class GradientBoostingRegressor:
         Y = y[:, None] if self._single else y
         self.init_ = Y.mean(axis=0)
         F = np.tile(self.init_, (X.shape[0], 1))
+        bins = bin_features(X)
         self.trees_: list[RegressionTree] = []
         for _ in range(self.n_estimators):
             t = RegressionTree(
                 max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf
-            ).fit(X, Y - F)
+            ).fit_binned(*bins, Y - F)
             upd = t.predict(X)
             F += self.learning_rate * (upd[:, None] if upd.ndim == 1 else upd)
             self.trees_.append(t)
+        self._stack = TreeStack(self.trees_)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        F = np.tile(self.init_, (X.shape[0], 1))
-        for t in self.trees_:
-            upd = t.predict(X)
-            F += self.learning_rate * (upd[:, None] if upd.ndim == 1 else upd)
+        F = _staged_sum(self.init_, self.learning_rate, self._stack, X)
         return F[:, 0] if self._single else F
 
     @property
@@ -96,24 +113,22 @@ class GradientBoostingClassifier:
         K = len(self.classes_)
         onehot = np.eye(K)[yi]
         F = np.zeros((X.shape[0], K))
+        bins = bin_features(X)
         self.trees_: list[RegressionTree] = []
         for _ in range(self.n_estimators):
             grad = onehot - _softmax(F)
             t = RegressionTree(
                 max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf
-            ).fit(X, grad)
+            ).fit_binned(*bins, grad)
             upd = t.predict(X)
             F += self.learning_rate * (upd[:, None] if upd.ndim == 1 else upd)
             self.trees_.append(t)
+        self._stack = TreeStack(self.trees_)
         return self
 
     def _decision(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        F = np.zeros((X.shape[0], len(self.classes_)))
-        for t in self.trees_:
-            upd = t.predict(X)
-            F += self.learning_rate * (upd[:, None] if upd.ndim == 1 else upd)
-        return F
+        init = np.zeros(len(self.classes_))
+        return _staged_sum(init, self.learning_rate, self._stack, X)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return _softmax(self._decision(X))

@@ -6,15 +6,57 @@ reduction, so the same tree doubles as a classification tree; on raw
 targets it is a plain regression tree; on a performance-vector target it
 is the building block of the multi-output GBM estimator.
 
-Features are pre-binned into at most ``n_bins`` quantile bins, so a
-split search is one ``bincount`` per (node, feature) — fast enough for
-the dataset sizes MODis explores (10^3–10^5 rows, <=40 columns).
+Features are pre-binned into at most ``n_bins`` quantile bins. A node's
+split search builds one histogram over all candidate features at once
+(the per-node histogram of LightGBM, Ke et al., NeurIPS 2017): bin codes
+are offset by ``position · width`` so that one ``bincount`` per output
+column fills a (features, bins) table, and the gain of every candidate
+split is computed on that table in one pass. Nodes are grown depth-first
+from an explicit stack and stored in flat preorder arrays; prediction
+routes all rows through the tree one level at a time.
 """
 from __future__ import annotations
 
 import numpy as np
 
 _LEAF = -1
+N_BINS = 64
+
+
+def _route(tree, roots: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Leaf reached by every row of ``X`` from every root in ``roots``.
+
+    ``tree`` holds flat node arrays (a :class:`RegressionTree` or a
+    :class:`TreeStack`); the result has shape (rows, roots). All rows
+    descend one level per step. A leaf is its own left and right child,
+    so rows that reached one stay there while the others descend.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    rows = np.arange(X.shape[0])[:, None]
+    node = np.broadcast_to(roots, (X.shape[0], roots.size))
+    for _ in range(tree._depth):
+        go_left = X[rows, tree._feature[node]] < tree._threshold[node]
+        node = np.where(go_left, tree._left[node], tree._right[node])
+    return node
+
+
+def bin_features(
+    X: np.ndarray, n_bins: int = N_BINS
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Quantile bin edges of every column of ``X`` and its bin codes.
+
+    Returns ``(edges, codes)``: ``edges[j]`` holds the unique inner
+    quantiles of column ``j`` and ``codes`` is the (d, n) array of
+    ``count(edges[j] <= x)``, feature-major so a node can gather rows of
+    several features at once. NaN gets the last code of its column.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    Q = np.quantile(X, np.linspace(0, 1, n_bins + 1)[1:-1], axis=0)
+    edges = [np.unique(Q[:, j]) for j in range(X.shape[1])]
+    codes = np.empty((X.shape[1], X.shape[0]), dtype=np.intp)
+    for j, e in enumerate(edges):
+        codes[j] = np.searchsorted(e, X[:, j], side="right")
+    return edges, codes
 
 
 class RegressionTree:
@@ -28,6 +70,11 @@ class RegressionTree:
         ``"sqrt"`` = ceil(sqrt(d))); sampling requires ``rng``.
     n_bins: max quantile bins per feature.
     rng: ``np.random.Generator`` for feature subsampling (forests).
+
+    The fitted tree is five preorder arrays: ``_feature`` (``-1`` marks a
+    leaf), ``_threshold`` (rows with ``x < threshold`` go left, NaN goes
+    right), ``_left`` and ``_right`` (a leaf's children are itself) and
+    ``_value`` (one row of node means per node).
     """
 
     def __init__(
@@ -35,7 +82,7 @@ class RegressionTree:
         max_depth: int = 4,
         min_samples_leaf: int = 5,
         max_features=None,
-        n_bins: int = 64,
+        n_bins: int = N_BINS,
         rng: np.random.Generator | None = None,
     ):
         self.max_depth = max_depth
@@ -44,138 +91,157 @@ class RegressionTree:
         self.n_bins = n_bins
         self.rng = rng
 
-    # -- binning ---------------------------------------------------------
-    def _make_bins(self, X: np.ndarray) -> list[np.ndarray]:
-        edges = []
-        for j in range(X.shape[1]):
-            col = X[:, j]
-            qs = np.quantile(col, np.linspace(0, 1, self.n_bins + 1)[1:-1])
-            edges.append(np.unique(qs))
-        return edges
-
-    def _bin(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape, dtype=np.int32)
-        for j, e in enumerate(self._edges):
-            out[:, j] = np.searchsorted(e, X[:, j], side="right")
-        return out
-
     # -- fitting ---------------------------------------------------------
     def fit(self, X: np.ndarray, Y: np.ndarray) -> "RegressionTree":
-        X = np.asarray(X, dtype=np.float64)
+        return self.fit_binned(*bin_features(X, self.n_bins), Y)
+
+    def fit_binned(
+        self, edges: list[np.ndarray], codes: np.ndarray, Y: np.ndarray
+    ) -> "RegressionTree":
+        """Fit on the output of :func:`bin_features`, so that a caller
+        fitting many trees on the same ``X`` bins it once."""
         Y = np.asarray(Y, dtype=np.float64)
         if Y.ndim == 1:
             Y = Y[:, None]
-        self.n_outputs_ = Y.shape[1]
-        self._edges = self._make_bins(X)
-        B = self._bin(X)
-        # Growable flat arrays describing the tree.
-        self._feature: list[int] = []
-        self._threshold: list[float] = []  # raw-value threshold (<= goes left)
-        self._bin_thr: list[int] = []
-        self._left: list[int] = []
-        self._right: list[int] = []
-        self._value: list[np.ndarray] = []
-        self._grow(B, Y, np.arange(X.shape[0]), depth=0)
+        d, n = codes.shape
+        K = Y.shape[1]
+        self.n_outputs_ = K
+        feature: list[int] = []
+        threshold: list[float] = []
+        left: list[int] = []
+        right: list[int] = []
+        value: list[np.ndarray] = []
+        msl = self.min_samples_leaf
+        self._depth = 0
+        # (parent, is_left, rows, depth); the left child is pushed last so
+        # that ids are handed out in preorder, as a recursive grower would.
+        stack = [(-1, True, np.arange(n), 0)]
+        while stack:
+            parent, is_left, idx, depth = stack.pop()
+            node = len(feature)
+            if parent >= 0:
+                (left if is_left else right)[parent] = node
+            y = Y[idx]
+            feature.append(_LEAF)
+            threshold.append(np.nan)
+            left.append(node)
+            right.append(node)
+            value.append(y.mean(axis=0))
+            self._depth = max(self._depth, depth)
+            if depth >= self.max_depth or idx.size < 2 * msl or d == 0:
+                continue
+            if self.max_features is None:
+                feats = np.arange(d)
+            else:
+                k = (
+                    max(1, int(np.ceil(np.sqrt(d))))
+                    if self.max_features == "sqrt"
+                    else min(d, int(self.max_features))
+                )
+                rng = self.rng or np.random.default_rng(0)
+                feats = rng.choice(d, size=k, replace=False)
+            split = self._best_split(codes[np.ix_(feats, idx)], y)
+            if split is None:
+                continue
+            p, b = split
+            j = int(feats[p])
+            feature[node] = j
+            # bin(x) <= b  <=>  count(edges <= x) <= b  <=>  x < edges[b]
+            threshold[node] = edges[j][b]
+            go_left = codes[j, idx] <= b
+            stack.append((node, False, idx[~go_left], depth + 1))
+            stack.append((node, True, idx[go_left], depth + 1))
+        self._feature = np.array(feature, dtype=np.intp)
+        self._threshold = np.array(threshold)
+        self._left = np.array(left, dtype=np.intp)
+        self._right = np.array(right, dtype=np.intp)
+        self._value = np.array(value).reshape(-1, K)
         return self
 
-    def _new_node(self, value: np.ndarray) -> int:
-        self._feature.append(_LEAF)
-        self._threshold.append(np.nan)
-        self._bin_thr.append(-1)
-        self._left.append(-1)
-        self._right.append(-1)
-        self._value.append(value)
-        return len(self._feature) - 1
+    def _best_split(self, C: np.ndarray, y: np.ndarray) -> tuple[int, int] | None:
+        """Best (position in ``C``, bin) split of a node, or ``None``.
 
-    def _grow(self, B: np.ndarray, Y: np.ndarray, idx: np.ndarray, depth: int) -> int:
-        y = Y[idx]
-        node = self._new_node(y.mean(axis=0))
-        n = idx.size
-        if depth >= self.max_depth or n < 2 * self.min_samples_leaf:
-            return node
-        d = B.shape[1]
-        if self.max_features is None:
-            feats = np.arange(d)
-        else:
-            k = (
-                max(1, int(np.ceil(np.sqrt(d))))
-                if self.max_features == "sqrt"
-                else min(d, int(self.max_features))
-            )
-            rng = self.rng or np.random.default_rng(0)
-            feats = rng.choice(d, size=k, replace=False)
+        ``C`` is the node's (features, rows) bin codes and ``y`` its
+        (rows, K) targets. A split at bin ``b`` sends codes ``<= b`` left.
+        """
+        f, n = C.shape
+        K = y.shape[1]
+        nb = C.max(axis=1) + 1  # bins present in the node, per feature
+        W = int(nb.max())
+        flat = (C + (np.arange(f) * W)[:, None]).ravel()
+        cnt = np.bincount(flat, minlength=f * W).reshape(f, W)
+        sums = np.empty((f, W, K))
+        # Feature-major weights: row k repeats y[:, k] once per feature.
+        Yw = np.tile(y.T, (1, f))
+        for k in range(K):
+            sums[:, :, k] = np.bincount(
+                flat, weights=Yw[k], minlength=f * W
+            ).reshape(f, W)
         total_sum = y.sum(axis=0)
-        best = (0.0, -1, -1)  # (gain, feature, bin)
-        Bi = B[idx]
-        for j in feats:
-            bj = Bi[:, j]
-            nb = bj.max() + 1
-            if nb < 2:
-                continue
-            cnt = np.bincount(bj, minlength=nb).astype(np.float64)
-            sums = np.empty((nb, y.shape[1]))
-            for k_out in range(y.shape[1]):
-                sums[:, k_out] = np.bincount(bj, weights=y[:, k_out], minlength=nb)
-            c_cnt = np.cumsum(cnt)[:-1]
-            c_sum = np.cumsum(sums, axis=0)[:-1]
-            nl, nr = c_cnt, n - c_cnt
-            ok = (nl >= self.min_samples_leaf) & (nr >= self.min_samples_leaf)
-            if not ok.any():
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gain = (c_sum**2).sum(axis=1) / nl + (
-                    (total_sum - c_sum) ** 2
-                ).sum(axis=1) / nr
-            gain = np.where(ok, gain, -np.inf)
-            b = int(np.argmax(gain))
-            g = gain[b] - (total_sum**2).sum() / n
-            if g > best[0] + 1e-12:
-                best = (g, int(j), b)
-        if best[1] < 0:
-            return node
-        _, j, b = best
-        go_left = B[idx, j] <= b
-        li, ri = idx[go_left], idx[~go_left]
-        self._feature[node] = j
-        self._bin_thr[node] = b
-        e = self._edges[j]
-        self._threshold[node] = e[b] if b < len(e) else np.inf
-        self._left[node] = self._grow(B, Y, li, depth + 1)
-        self._right[node] = self._grow(B, Y, ri, depth + 1)
-        return node
+        nl = np.cumsum(cnt, axis=1).astype(np.float64)
+        nr = n - nl
+        c_sum = np.cumsum(sums, axis=1).reshape(f * W, K)
+        msl = self.min_samples_leaf
+        # The last bin of each feature sends every row left: no split.
+        ok = (
+            (nl >= msl)
+            & (nr >= msl)
+            & (np.arange(W)[None, :] < (nb - 1)[:, None])
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = (c_sum**2).sum(axis=1).reshape(f, W) / nl + (
+                ((total_sum - c_sum) ** 2).sum(axis=1).reshape(f, W) / nr
+            )
+        gain = np.where(ok, gain, -np.inf)
+        bins = np.argmax(gain, axis=1)
+        g = gain[np.arange(f), bins] - (total_sum**2).sum() / n
+        # Scan in candidate order with a tolerance, so near-ties keep the
+        # earliest feature (an argmax over g would break them differently).
+        best, best_p = 0.0, -1
+        for p, gp in enumerate(g.tolist()):
+            if gp > best + 1e-12:
+                best, best_p = gp, p
+        if best_p < 0:
+            return None
+        return best_p, int(bins[best_p])
 
     # -- prediction ------------------------------------------------------
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        out = np.empty((X.shape[0], self.n_outputs_))
-        self._apply(X, np.arange(X.shape[0]), 0, out)
-        return out[:, 0] if self.n_outputs_ == 1 else out
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Index of the leaf each row of ``X`` lands in."""
+        return _route(self, np.zeros(1, dtype=np.intp), X)[:, 0]
 
-    def _apply(self, X, idx, node, out) -> None:
-        while True:
-            j = self._feature[node]
-            if j == _LEAF:
-                out[idx] = self._value[node]
-                return
-            thr = self._threshold[node]
-            # bin(x) <= b  <=>  count(edges <= x) <= b  <=>  x < edges[b]
-            go_left = X[idx, j] < thr
-            li, ri = idx[go_left], idx[~go_left]
-            if li.size == 0:
-                idx, node = ri, self._right[node]
-            elif ri.size == 0:
-                idx, node = li, self._left[node]
-            else:
-                self._apply(X, li, self._left[node], out)
-                idx, node = ri, self._right[node]
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        out = self._value[self.apply(X)]
+        return out[:, 0] if self.n_outputs_ == 1 else out
 
     @property
     def feature_importances_(self) -> np.ndarray:
         """Split-count importance, normalized to sum to 1."""
-        d = 1 + max((f for f in self._feature if f != _LEAF), default=0)
-        imp = np.zeros(d)
-        for f in self._feature:
-            if f != _LEAF:
-                imp[f] += 1.0
+        imp = np.bincount(
+            self._feature[self._feature != _LEAF], minlength=1
+        ).astype(np.float64)
         s = imp.sum()
         return imp / s if s > 0 else imp
+
+
+class TreeStack:
+    """Fitted trees packed into one set of flat node arrays, so that a
+    booster routes its rows through all of its stages in one pass."""
+
+    def __init__(self, trees: list[RegressionTree]):
+        sizes = [t._feature.size for t in trees]
+        self._roots = np.cumsum([0] + sizes[:-1], dtype=np.intp)
+        self._feature = np.concatenate([t._feature for t in trees])
+        self._threshold = np.concatenate([t._threshold for t in trees])
+        self._left = np.concatenate(
+            [t._left + r for t, r in zip(trees, self._roots)]
+        )
+        self._right = np.concatenate(
+            [t._right + r for t, r in zip(trees, self._roots)]
+        )
+        self._value = np.concatenate([t._value for t in trees])
+        self._depth = max(t._depth for t in trees)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """(rows, trees, outputs) array of every tree's prediction."""
+        return self._value[_route(self, self._roots, X)]

@@ -39,7 +39,9 @@ def _featurize(
             codes[codes < 0] = np.nan
             s = pd.Series(codes, index=s.index)
         v = pd.to_numeric(s, errors="coerce").astype(np.float64)
-        med = np.nanmedian(v) if np.isfinite(np.nanmedian(v)) else 0.0
+        med = np.nanmedian(v)
+        if not np.isfinite(med):
+            med = 0.0
         cols.append(v.fillna(med).to_numpy())
     if not cols:
         return np.empty((len(pdf), 0))

@@ -1,5 +1,7 @@
 """BiMODis / NOBiMODis: BackSt, Spearman correlation machinery,
 parameterized pruning, and the bi-directional engine."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,8 @@ def test_pruning_saves_valuations_fresh_contexts(spark, house_small):
     from repro.core.runner import SearchContext
 
     lake, task, measures = house_small
+    # A fixed time unit makes p_Train, and so the search, deterministic.
+    task = dataclasses.replace(task, time_unit=6e-6)
     runs = {}
     for prune in (False, True):
         ctx = SearchContext.build(

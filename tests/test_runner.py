@@ -1,7 +1,8 @@
 """SearchContext (configuration C), valuation caching, estimator
 seeding/refresh, and the UPareto ParetoTable."""
+import itertools
+
 import numpy as np
-import pytest
 
 from repro.core.dominance import dominates, eps_dominates
 from repro.core.runner import ParetoTable
@@ -33,14 +34,26 @@ def test_valuate_prefers_true_tests(house_ctx):
 
 
 def test_valuate_estimator_cached(house_ctx):
-    # an unseen state goes through the estimator exactly once
-    bits = list(house_ctx.layout.full_bits())
-    bits[house_ctx.layout.col_unit[house_ctx.layout.attrs[0]]] = 0
-    for u in house_ctx.layout.val_units[house_ctx.layout.attrs[0]]:
-        bits[u] = 0
-    bits = tuple(bits)
-    if bits in house_ctx.tests or bits in house_ctx.est_cache:
-        pytest.skip("state already valuated by another test")
+    # an unseen state goes through the estimator exactly once. Every
+    # single-attribute drop of the universal state is a single-Reduct
+    # child, which the estimator's seed sample valuates, so the state
+    # drops two attributes.
+    L = house_ctx.layout
+
+    def drop(*attrs):
+        bits = list(L.full_bits())
+        for a in attrs:
+            for u in (L.col_unit[a], *L.val_units[a]):
+                bits[u] = 0
+        return tuple(bits)
+
+    unseen = [
+        bits
+        for bits in (drop(a, b) for a, b in itertools.combinations(L.attrs, 2))
+        if bits not in house_ctx.tests and bits not in house_ctx.est_cache
+    ]
+    assert unseen, "every two-attribute drop is already valuated"
+    bits = unseen[0]
     n0 = house_ctx.n_valuations
     v1 = house_ctx.valuate(bits)
     v2 = house_ctx.valuate(bits)
