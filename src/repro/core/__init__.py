@@ -9,7 +9,7 @@
 - :mod:`repro.core.operators` — OpGen: Reduct (1→0 flips) and Augment
   (0→1 flips) transitions (§3 operators, Alg. 1/2);
 - :mod:`repro.core.dominance` — dominance, ε-dominance, pos() grid
-  (Eq. 1), Kung's exact skyline;
+  (Eq. 1), the exact skyline filter;
 - :mod:`repro.core.runner` — configuration C: valuation cache T,
   estimator wiring, true-model evaluation;
 - :mod:`repro.core.apx` / :mod:`bi` / :mod:`div` — ApxMODis, BiMODis /

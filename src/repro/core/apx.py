@@ -13,7 +13,12 @@ import heapq
 import itertools
 
 from repro.core.operators import reduct_children
-from repro.core.runner import ParetoTable, SearchContext, SearchResult, timed
+from repro.core.runner import (
+    CALIBRATE_K, ParetoTable, SearchContext, SearchResult, timed
+)
+
+# Spawned states between two calibration rounds.
+CALIBRATE_EVERY = 60
 
 
 def apx_modis(
@@ -22,12 +27,10 @@ def apx_modis(
     N: int = 300,
     eps: float = 0.1,
     max_level: int = 6,
-    calibrate_every: int = 60,
-    calibrate_k: int = 3,
 ) -> SearchResult:
     """Run ApxMODis; valuates at most N states or until no transitions.
 
-    Every ``calibrate_every`` spawned states, the current per-measure
+    Every ``CALIBRATE_EVERY`` spawned states, the current per-measure
     champion entries are valuated with the true model and the estimator
     is refreshed — the paper's runtime enrichment of T.
     """
@@ -45,8 +48,6 @@ def apx_modis(
         # exhausting a level breadth-first.
         heap = [(vec[-1], 0, next(tie), s_u)]
         seen = {s_u}
-        spawned = 1
-        next_cal = calibrate_every
         while heap and len(seen) < N:
             _, level, _, s = heapq.heappop(heap)
             if level >= max_level:
@@ -55,23 +56,20 @@ def apx_modis(
                 if child in seen:
                     continue
                 seen.add(child)
-                spawned += 1
                 cvec = ctx.valuate(child)
                 table.offer(child, cvec)
                 heapq.heappush(heap, (cvec[-1], level + 1, next(tie), child))
-                if spawned >= next_cal:
-                    ctx.calibrate(table.entries(), k=calibrate_k)
-                    next_cal += calibrate_every
+                if len(seen) % CALIBRATE_EVERY == 0:
+                    ctx.calibrate(table.entries(), k=CALIBRATE_K)
                 if len(seen) >= N:
                     break
-        ctx.calibrate(table.entries(), k=calibrate_k)
-        return table, spawned
+        ctx.calibrate(table.entries(), k=CALIBRATE_K)
+        return table, len(seen)
 
     (table, spawned), wall = timed(run)
     return SearchResult(
         method="ApxMODis",
         skyline=table.result(),
-        n_valuations=spawned,
         n_spawned=spawned,
         wall_time=wall,
     )

@@ -15,6 +15,12 @@ state whose parameterized vector is (1+ε)-covered by a current skyline
 entry is pruned without valuation — the monotonicity condition is
 carried by the interpolated bounds. NOBiMODis is the same engine with
 pruning disabled.
+
+The search ends when N states are seen, when ``max_level`` levels are
+expanded, or when both frontiers are empty. The paper's "when a path is
+formed, the result D_F is returned" rule is not implemented: a state
+reached from one side is skipped by the other, so the two frontiers
+never share a state.
 """
 from __future__ import annotations
 
@@ -25,7 +31,9 @@ import numpy as np
 from repro.core.dominance import Vec
 from repro.core.literals import Bits
 from repro.core.operators import augment_children, reduct_children
-from repro.core.runner import ParetoTable, SearchContext, SearchResult, timed
+from repro.core.runner import (
+    CALIBRATE_K, ParetoTable, SearchContext, SearchResult, timed
+)
 
 # A parameterized performance entry: exact value or [lo, hi] range.
 ParamPerf = list[tuple[float, float]]
@@ -33,17 +41,14 @@ ParamPerf = list[tuple[float, float]]
 
 # -- BackSt (procedure BackSt, §5.3) ------------------------------------
 
-def back_start(ctx: SearchContext, base_attrs: list[str] | None = None) -> Bits:
-    """Backward seed s_b: base-schema attributes only, with a minimal
-    cluster cover of the target's active domain on the partition
-    attribute (the present attribute with the most clusters)."""
+def back_start(ctx: SearchContext) -> Bits:
+    """Backward seed s_b: base-schema attributes only (all attributes
+    when the context has no base schema), with a minimal cluster cover
+    of the target's active domain on the partition attribute (the
+    present attribute with the most clusters)."""
     layout = ctx.layout
-    attrs = [a for a in (base_attrs or layout.attrs) if a in layout.col_unit]
-    bits = list(layout.empty_bits())
-    for a in attrs:
-        bits[layout.col_unit[a]] = 1
-        for u in layout.val_units[a]:
-            bits[u] = 1
+    attrs = [a for a in (ctx.base_attrs or layout.attrs) if a in layout.col_unit]
+    bits = list(layout.schema_bits(attrs))
     part = max(attrs, key=lambda a: layout.n_clusters(a), default=None)
     if part is None or layout.n_clusters(part) < 2:
         return tuple(bits)
@@ -170,45 +175,35 @@ def bi_engine(
     eps: float,
     max_level: int,
     prune: bool,
-    theta: float = 0.8,
-    base_attrs: list[str] | None = None,
     level_hook: Callable[[ParetoTable, int], None] | None = None,
-    calibrate_k: int = 3,
-) -> tuple[ParetoTable, int, int]:
+) -> tuple[ParetoTable, int]:
     """Shared by BiMODis / NOBiMODis / DivMODis. Returns
-    (pareto table, #spawned, #pruned). After each level the per-measure
+    (pareto table, #spawned). After each level the per-measure
     champions are true-valuated and E refreshed (runtime T enrichment).
     """
     layout = ctx.layout
-    if base_attrs is None and ctx.base_attrs:
-        base_attrs = ctx.base_attrs
     table = ParetoTable(ctx.measures, eps)
-    pruner = CorrPruner(ctx, theta=theta)
+    pruner = CorrPruner(ctx)
 
     s_u = layout.full_bits()
-    s_b = back_start(ctx, base_attrs)
-    for s in (s_u, s_b):
-        v = ctx.valuate(s)
+    s_b = back_start(ctx)
+    frontier_f: list[tuple[Bits, Vec]] = [(s_u, ctx.valuate(s_u))]
+    frontier_b: list[tuple[Bits, Vec]] = [(s_b, ctx.valuate(s_b))]
+    for s, v in frontier_f + frontier_b:
         table.offer(s, v)
         pruner.observe(s, v)
     seen: set[Bits] = {s_u, s_b}
-    seen_f: set[Bits] = {s_u}
-    seen_b: set[Bits] = {s_b}
-    frontier_f: list[tuple[Bits, Vec]] = [(s_u, ctx.valuate(s_u))]
-    frontier_b: list[tuple[Bits, Vec]] = [(s_b, ctx.valuate(s_b))]
     spawned = 2
 
     for level in range(max_level):
         if not frontier_f and not frontier_b:
             break
-        if seen_f & seen_b - {s_u, s_b}:
-            break  # "when a path is formed, the result D_F is returned"
         next_f: list[tuple[Bits, Vec]] = []
         next_b: list[tuple[Bits, Vec]] = []
         # Best-decisive-first expansion within the level.
-        for frontier, gen, nxt, side in (
-            (sorted(frontier_f, key=lambda e: e[1][-1]), reduct_children, next_f, seen_f),
-            (sorted(frontier_b, key=lambda e: e[1][-1]), augment_children, next_b, seen_b),
+        for frontier, gen, nxt in (
+            (sorted(frontier_f, key=lambda e: e[1][-1]), reduct_children, next_f),
+            (sorted(frontier_b, key=lambda e: e[1][-1]), augment_children, next_b),
         ):
             for s, _v in frontier:
                 if len(seen) >= N:
@@ -222,10 +217,8 @@ def bi_engine(
                             param, table, eps
                         ):
                             seen.add(child)
-                            side.add(child)
                             continue
                     seen.add(child)
-                    side.add(child)
                     spawned += 1
                     cvec = ctx.valuate(child)
                     table.offer(child, cvec)
@@ -234,12 +227,12 @@ def bi_engine(
                     if len(seen) >= N:
                         break
         frontier_f, frontier_b = next_f, next_b
-        ctx.calibrate(table.entries(), k=calibrate_k)
+        ctx.calibrate(table.entries(), k=CALIBRATE_K)
         if level_hook is not None:
             level_hook(table, level)
         if len(seen) >= N:
             break
-    return table, spawned, pruner.n_pruned
+    return table, spawned
 
 
 def bi_modis(
@@ -249,27 +242,16 @@ def bi_modis(
     eps: float = 0.1,
     max_level: int = 6,
     prune: bool = True,
-    theta: float = 0.8,
-    base_attrs: list[str] | None = None,
 ) -> SearchResult:
     """BiMODis (prune=True) / NOBiMODis (prune=False)."""
 
     def run():
-        return bi_engine(
-            ctx,
-            N=N,
-            eps=eps,
-            max_level=max_level,
-            prune=prune,
-            theta=theta,
-            base_attrs=base_attrs,
-        )
+        return bi_engine(ctx, N=N, eps=eps, max_level=max_level, prune=prune)
 
-    (table, spawned, _npruned), wall = timed(run)
+    (table, spawned), wall = timed(run)
     return SearchResult(
         method="BiMODis" if prune else "NOBiMODis",
         skyline=table.result(),
-        n_valuations=spawned,
         n_spawned=spawned,
         wall_time=wall,
     )

@@ -92,7 +92,6 @@ def div_modis(
     max_level: int = 6,
     k: int = 5,
     alpha: float = 0.5,
-    base_attrs: list[str] | None = None,
     seed: int = 0,
 ) -> SearchResult:
     """DivMODis over the bi-directional engine (no correlation pruning —
@@ -116,15 +115,13 @@ def div_modis(
             eps=eps,
             max_level=max_level,
             prune=False,
-            base_attrs=base_attrs,
             level_hook=hook,
         )
 
-    (table, spawned, _), wall = timed(run)
+    (table, spawned), wall = timed(run)
     return SearchResult(
         method="DivMODis",
         skyline=table.result(),
-        n_valuations=spawned,
         n_spawned=spawned,
         wall_time=wall,
     )

@@ -1,4 +1,4 @@
-"""Dominance relations, the (1+ε)-position grid, and Kung's algorithm.
+"""Dominance relations, the (1+ε)-position grid, and the exact skyline.
 
 All vectors here are *normalized, minimized* measure tuples (paper §2):
 ``u`` dominates ``v`` iff u ≤ v componentwise with at least one strict
@@ -6,9 +6,10 @@ inequality (§4); ``u`` ε-dominates ``v`` iff u ≤ (1+ε)·v componentwise
 and u ≤ v on at least one decisive measure (§5.1). ``position``
 implements Eq. (1): the floor-log_(1+ε) grid cell over the first |P|−1
 measures, with the last measure decisive by default. ``kung_skyline``
-is the classic divide-and-conquer maxima algorithm [24] used by the
-exact fixed-parameter baseline of Theorem 1 and by tests to check
-UPareto's output.
+is a plain non-dominated filter: UPareto's final clean-up, and the
+exact skyline tests check UPareto against. Theorem 1's FPT cost
+argument cites Kung's divide-and-conquer [24]; the skylines here span
+tens of grid cells, where the quadratic filter does the same job.
 """
 from __future__ import annotations
 
@@ -40,36 +41,12 @@ def position(vec: Vec, lowers: Sequence[float], eps: float) -> tuple[int, ...]:
 
 
 def kung_skyline(vectors: list[Vec]) -> list[int]:
-    """Indices of the exact skyline (non-dominated set) of ``vectors``.
-
-    Kung/Luccio/Preparata divide-and-conquer on the first coordinate;
-    O(n log n) for 2–3 measures, O(n log^(d−2) n) beyond — matching the
-    cost cited in Theorem 1's FPT argument.
-    """
-    n = len(vectors)
-    if n == 0:
-        return []
-    order = sorted(range(n), key=lambda i: vectors[i])
-
-    def solve(idx: list[int]) -> list[int]:
-        if len(idx) <= 1:
-            return list(idx)
-        mid = len(idx) // 2
-        left = solve(idx[:mid])   # better on first coordinate
-        right = solve(idx[mid:])
-        keep = list(left)
-        for r in right:
-            if not any(dominates(vectors[l], vectors[r]) for l in left):
-                keep.append(r)
-        return keep
-
-    sky = solve(order)
-    # Remove exact duplicates dominated by nothing but identical twins.
-    seen: dict[Vec, int] = {}
+    """Ascending indices of the exact skyline (non-dominated set) of
+    ``vectors``; of identical vectors only the first is kept."""
+    kept: set[Vec] = set()
     out = []
-    for i in sorted(sky):
-        v = vectors[i]
-        if v not in seen:
-            seen[v] = i
+    for i, v in enumerate(vectors):
+        if v not in kept and not any(dominates(u, v) for u in vectors):
+            kept.add(v)
             out.append(i)
     return out

@@ -133,6 +133,15 @@ class UnitLayout:
     def empty_bits(self) -> Bits:
         return tuple([0] * self.n_units)
 
+    def schema_bits(self, attrs: list[str]) -> Bits:
+        """Presence and every cluster bit of ``attrs`` set, all else 0."""
+        bits = [0] * self.n_units
+        for a in attrs:
+            if a in self.col_unit:
+                for u in [self.col_unit[a], *self.val_units[a]]:
+                    bits[u] = 1
+        return tuple(bits)
+
     def n_clusters(self, attr: str) -> int:
         return len(self.val_units[attr])
 

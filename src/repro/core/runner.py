@@ -30,6 +30,11 @@ from repro.lake.tasks import Lake
 from repro.measures import Measure, PerfVector
 from repro.tasks import TabularTask
 
+# True trainings per calibration round, in every search engine.
+CALIBRATE_K = 3
+# Cap on the single-Reduct children of s_U in the estimator's seed sample.
+MAX_SINGLE_FLIPS = 64
+
 
 @dataclass
 class SearchContext:
@@ -109,9 +114,7 @@ class SearchContext:
         return self.true_eval(bits).vector(self.measures)
 
     # -- estimator seeding & online refresh ------------------------------
-    def seed_estimator(
-        self, *, n_seed: int = 24, max_single_flips: int = 64, seed: int = 0
-    ) -> None:
+    def seed_estimator(self, *, n_seed: int = 24, seed: int = 0) -> None:
         """Fit MO-GBM E on true valuations of a structured state sample.
 
         The sample contains (1) the universal state, (2) every single-
@@ -126,8 +129,8 @@ class SearchContext:
         full = self.layout.full_bits()
         states: list[Bits] = [full]
         singles = [b for b, _ in reduct_children(self.layout, full)]
-        if len(singles) > max_single_flips:
-            keep = rng.choice(len(singles), size=max_single_flips, replace=False)
+        if len(singles) > MAX_SINGLE_FLIPS:
+            keep = rng.choice(len(singles), size=MAX_SINGLE_FLIPS, replace=False)
             singles = [singles[i] for i in sorted(keep)]
         states.extend(singles)
         depths = rng.integers(2, max(3, self.layout.n_units // 2), n_seed)
@@ -140,13 +143,7 @@ class SearchContext:
                 bits = kids[rng.integers(0, len(kids))]
             states.append(bits)
         if self.base_attrs:
-            mini = list(self.layout.empty_bits())
-            for a in self.base_attrs:
-                if a in self.layout.col_unit:
-                    mini[self.layout.col_unit[a]] = 1
-                    for u in self.layout.val_units[a]:
-                        mini[u] = 1
-            states.append(tuple(mini))
+            states.append(self.layout.schema_bits(self.base_attrs))
         states = list(dict.fromkeys(states))
         for b in states:
             self.true_eval(b)
@@ -161,7 +158,7 @@ class SearchContext:
         self.estimator = est
         self.est_cache.clear()
 
-    def calibrate(self, entries: list[tuple[Bits, Vec]], k: int = 2) -> int:
+    def calibrate(self, entries: list[tuple[Bits, Vec]], k: int) -> int:
         """True-evaluate up to ``k`` promising entries not yet in T and
         refresh E — the paper's runtime enrichment of T (§3 Running)."""
         if not entries:
@@ -219,7 +216,6 @@ class ParetoTable:
 class SearchResult:
     method: str
     skyline: list[tuple[Bits, Vec]]
-    n_valuations: int
     n_spawned: int
     wall_time: float
 

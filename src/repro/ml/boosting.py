@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.tree import RegressionTree, TreeStack, bin_features
+from repro.ml.tree import RegressionTree, TreeStack, bin_features, summed_importances
 
 
 def _staged_sum(init: np.ndarray, lr: float, stack: TreeStack, X) -> np.ndarray:
@@ -43,7 +43,35 @@ def _softmax(F: np.ndarray) -> np.ndarray:
     return E / E.sum(axis=1, keepdims=True)
 
 
-class GradientBoostingRegressor:
+class _Booster:
+    """The stage loop both boosters share: each stage fits one tree to
+    the loss gradient at the current F and adds ``learning_rate`` times
+    its prediction to F."""
+
+    def __init__(self, n_estimators, learning_rate, max_depth, min_samples_leaf):
+        self.n_estimators = n_estimators
+        self.learning_rate = learning_rate
+        self.max_depth = max_depth
+        self.min_samples_leaf = min_samples_leaf
+
+    def _fit_stages(self, X: np.ndarray, F: np.ndarray, gradient) -> None:
+        bins = bin_features(X)
+        self.trees_: list[RegressionTree] = []
+        for _ in range(self.n_estimators):
+            t = RegressionTree(
+                max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf
+            ).fit_binned(*bins, gradient(F))
+            upd = t.predict(X)
+            F += self.learning_rate * (upd[:, None] if upd.ndim == 1 else upd)
+            self.trees_.append(t)
+        self._stack = TreeStack(self.trees_)
+
+    @property
+    def feature_importances_(self) -> np.ndarray:
+        return summed_importances(self.trees_)
+
+
+class GradientBoostingRegressor(_Booster):
     """Squared-loss boosting; multi-output if ``y`` is 2-D."""
 
     def __init__(
@@ -53,10 +81,7 @@ class GradientBoostingRegressor:
         max_depth: int = 3,
         min_samples_leaf: int = 3,
     ):
-        self.n_estimators = n_estimators
-        self.learning_rate = learning_rate
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
+        super().__init__(n_estimators, learning_rate, max_depth, min_samples_leaf)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostingRegressor":
         X = np.asarray(X, dtype=np.float64)
@@ -64,35 +89,15 @@ class GradientBoostingRegressor:
         self._single = y.ndim == 1
         Y = y[:, None] if self._single else y
         self.init_ = Y.mean(axis=0)
-        F = np.tile(self.init_, (X.shape[0], 1))
-        bins = bin_features(X)
-        self.trees_: list[RegressionTree] = []
-        for _ in range(self.n_estimators):
-            t = RegressionTree(
-                max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf
-            ).fit_binned(*bins, Y - F)
-            upd = t.predict(X)
-            F += self.learning_rate * (upd[:, None] if upd.ndim == 1 else upd)
-            self.trees_.append(t)
-        self._stack = TreeStack(self.trees_)
+        self._fit_stages(X, np.tile(self.init_, (X.shape[0], 1)), lambda F: Y - F)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         F = _staged_sum(self.init_, self.learning_rate, self._stack, X)
         return F[:, 0] if self._single else F
 
-    @property
-    def feature_importances_(self) -> np.ndarray:
-        imps = [t.feature_importances_ for t in self.trees_]
-        d = max(len(i) for i in imps)
-        acc = np.zeros(d)
-        for i in imps:
-            acc[: len(i)] += i
-        s = acc.sum()
-        return acc / s if s > 0 else acc
 
-
-class GradientBoostingClassifier:
+class GradientBoostingClassifier(_Booster):
     """Softmax gradient boosting; handles binary and multiclass labels."""
 
     def __init__(
@@ -102,28 +107,14 @@ class GradientBoostingClassifier:
         max_depth: int = 3,
         min_samples_leaf: int = 3,
     ):
-        self.n_estimators = n_estimators
-        self.learning_rate = learning_rate
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
+        super().__init__(n_estimators, learning_rate, max_depth, min_samples_leaf)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostingClassifier":
         X = np.asarray(X, dtype=np.float64)
         self.classes_, yi = np.unique(y, return_inverse=True)
         K = len(self.classes_)
         onehot = np.eye(K)[yi]
-        F = np.zeros((X.shape[0], K))
-        bins = bin_features(X)
-        self.trees_: list[RegressionTree] = []
-        for _ in range(self.n_estimators):
-            grad = onehot - _softmax(F)
-            t = RegressionTree(
-                max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf
-            ).fit_binned(*bins, grad)
-            upd = t.predict(X)
-            F += self.learning_rate * (upd[:, None] if upd.ndim == 1 else upd)
-            self.trees_.append(t)
-        self._stack = TreeStack(self.trees_)
+        self._fit_stages(X, np.zeros((X.shape[0], K)), lambda F: onehot - _softmax(F))
         return self
 
     def _decision(self, X: np.ndarray) -> np.ndarray:
@@ -135,16 +126,6 @@ class GradientBoostingClassifier:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.classes_[np.argmax(self._decision(X), axis=1)]
-
-    @property
-    def feature_importances_(self) -> np.ndarray:
-        imps = [t.feature_importances_ for t in self.trees_]
-        d = max(len(i) for i in imps)
-        acc = np.zeros(d)
-        for i in imps:
-            acc[: len(i)] += i
-        s = acc.sum()
-        return acc / s if s > 0 else acc
 
 
 class LightGBMClassifier(GradientBoostingClassifier):

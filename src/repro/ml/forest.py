@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.tree import RegressionTree
+from repro.ml.tree import RegressionTree, summed_importances
 
 
 class RandomForestClassifier:
@@ -62,10 +62,4 @@ class RandomForestClassifier:
 
     @property
     def feature_importances_(self) -> np.ndarray:
-        imps = [t.feature_importances_ for t in self.trees_]
-        d = max(len(i) for i in imps)
-        acc = np.zeros(d)
-        for i in imps:
-            acc[: len(i)] += i
-        s = acc.sum()
-        return acc / s if s > 0 else acc
+        return summed_importances(self.trees_)

@@ -224,6 +224,17 @@ class RegressionTree:
         return imp / s if s > 0 else imp
 
 
+def summed_importances(trees: list[RegressionTree]) -> np.ndarray:
+    """Per-tree importances summed over an ensemble, normalized to sum
+    to 1 (shorter vectors are zero-padded)."""
+    imps = [t.feature_importances_ for t in trees]
+    acc = np.zeros(max(len(i) for i in imps))
+    for i in imps:
+        acc[: len(i)] += i
+    s = acc.sum()
+    return acc / s if s > 0 else acc
+
+
 class TreeStack:
     """Fitted trees packed into one set of flat node arrays, so that a
     booster routes its rows through all of its stages in one pass."""

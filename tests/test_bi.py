@@ -38,7 +38,7 @@ def test_spearman_uncorrelated_small():
 
 
 def test_back_start_covers_target_classes(house_ctx):
-    bits = back_start(house_ctx, house_ctx.base_attrs)
+    bits = back_start(house_ctx)
     L = house_ctx.layout
     # base attributes present, others absent
     for a in L.attrs:
@@ -57,7 +57,7 @@ def test_back_start_covers_target_classes(house_ctx):
 
 
 def test_back_start_is_reduced(house_ctx):
-    bits = back_start(house_ctx, house_ctx.base_attrs)
+    bits = back_start(house_ctx)
     L = house_ctx.layout
     assert L.approx_n_rows(bits) < L.n_rows
 

@@ -1,0 +1,69 @@
+"""Golden skylines: with a fixed time unit, p_Train is a work count and
+the whole search is deterministic, so each MODis method must return the
+recorded skyline bitmaps and spawn count on the small house lake."""
+import copy
+import dataclasses
+
+import pytest
+
+from repro.core.apx import apx_modis
+from repro.core.bi import bi_modis
+from repro.core.div import div_modis
+from repro.core.runner import SearchContext
+
+RUNS = {
+    "ApxMODis": lambda ctx: apx_modis(ctx, N=80, eps=0.2, max_level=4),
+    "NOBiMODis": lambda ctx: bi_modis(ctx, N=80, eps=0.2, max_level=4, prune=False),
+    "BiMODis": lambda ctx: bi_modis(ctx, N=80, eps=0.2, max_level=4),
+    "DivMODis": lambda ctx: div_modis(ctx, N=80, eps=0.2, max_level=4, k=3),
+}
+
+# (n_spawned, sorted skyline bitmaps) per method. Re-record only for a
+# change meant to move skylines. ApxMODis at N=80 crosses one
+# 60-state calibration round.
+GOLDEN = {
+    "ApxMODis": (80, [
+        "111110111111001011111",
+        "111110111111101011111",
+        "111110111111111111111",
+    ]),
+    "NOBiMODis": (80, [
+        "110000011100100000000",
+        "110100011100000000000",
+        "110110111111111111111",
+        "111110101111111111111",
+        "111110111111011111111",
+        "111110111111101111111",
+        "111110111111111111111",
+    ]),
+    "BiMODis": (44, [
+        "101110111111111111111",
+        "110000011100100000000",
+        "110100011100000000000",
+        "110111111111111111111",
+        "111010111111111111111",
+        "111110111111111111111",
+    ]),
+    "DivMODis": (80, [
+        "110100011100000000000",
+        "111110111111111111111",
+    ]),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_ctx(spark, house_small):
+    """A house context with the estimator on and a deterministic p_Train.
+    Each test runs on its own deep copy, so every method starts fresh."""
+    lake, task, measures = house_small
+    task = dataclasses.replace(task, time_unit=6e-6)
+    return SearchContext.build(
+        spark, lake, task, measures, max_k=8, n_seed=6, seed=0
+    )
+
+
+@pytest.mark.parametrize("method", list(RUNS))
+def test_golden_skyline(golden_ctx, method):
+    res = RUNS[method](copy.deepcopy(golden_ctx))
+    bitmaps = sorted("".join(map(str, bits)) for bits, _ in res.skyline)
+    assert (res.n_spawned, bitmaps) == GOLDEN[method]

@@ -1,53 +1,24 @@
-"""Sanity tests for the provided scaffold modules (synth_data, oracle)
-— they back the DuckDB equivalence checks used across the suite."""
+"""Sanity tests for the DuckDB oracle that backs the equivalence checks
+used across the suite."""
 import pandas as pd
 import pytest
 
-from repro import synth_data
 from repro.oracle import assert_equivalent
 
-
-def test_lineitem_shape(spark):
-    df = synth_data.lineitem(spark, sf=0.001)
-    assert df.count() == 6000
-    assert "l_orderkey" in df.columns
+GRP_COUNTS = "SELECT grp, COUNT(*) AS n FROM base GROUP BY grp"
 
 
-def test_zipf_keys_skewed(spark):
-    df = synth_data.zipf_keys(spark, n=5000, n_keys=100, alpha=1.2).toPandas()
-    counts = df["k"].value_counts()
-    assert counts.iloc[0] > 5 * counts.iloc[-1]
+def test_oracle_accepts_equivalent(house_small):
+    base = house_small[0].base
+    got = base.groupBy("grp").count().withColumnRenamed("count", "n")
+    assert_equivalent(got, GRP_COUNTS, base=base)
 
 
-def test_uniform_keys_range(spark):
-    pdf = synth_data.uniform_keys(spark, n=1000, n_keys=50).toPandas()
-    assert pdf["k"].between(1, 50).all()
-
-
-def test_oracle_accepts_equivalent(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    got = li.groupBy("l_returnflag").count().withColumnRenamed("count", "n")
-    assert_equivalent(
-        got,
-        "SELECT l_returnflag, COUNT(*) AS n FROM li GROUP BY l_returnflag",
-        li=li,
-    )
-
-
-def test_oracle_rejects_wrong_result(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    wrong = (
-        li.groupBy("l_returnflag")
-        .count()
-        .withColumnRenamed("count", "n")
-        .limit(1)
-    )
+def test_oracle_rejects_wrong_result(house_small):
+    base = house_small[0].base
+    wrong = base.groupBy("grp").count().withColumnRenamed("count", "n").limit(1)
     with pytest.raises(AssertionError):
-        assert_equivalent(
-            wrong,
-            "SELECT l_returnflag, COUNT(*) AS n FROM li GROUP BY l_returnflag",
-            li=li,
-        )
+        assert_equivalent(wrong, GRP_COUNTS, base=base)
 
 
 def test_oracle_accepts_pandas_tables(spark):
