@@ -11,9 +11,13 @@
 - :mod:`repro.core.dominance` — dominance, ε-dominance, pos() grid
   (Eq. 1), the exact skyline filter;
 - :mod:`repro.core.runner` — configuration C: valuation cache T,
-  estimator wiring, true-model evaluation;
-- :mod:`repro.core.apx` / :mod:`bi` / :mod:`div` — ApxMODis, BiMODis /
-  NOBiMODis (correlation-based pruning), DivMODis.
+  estimator wiring, true-model evaluation; UPareto and
+  ``frontier_search``, the one search engine with two expansion orders
+  (best-first, level-wise);
+- :mod:`repro.core.apx` / :mod:`bi` / :mod:`div` — ApxMODis (best-first
+  from s_U), BiMODis / NOBiMODis (level-wise from s_U and BackSt, with
+  or without correlation-based pruning), DivMODis (level-wise with
+  diversification).
 """
 from repro.core.universal import build_universal
 from repro.core.literals import UnitLayout

@@ -13,18 +13,19 @@ an unvaluated state's measures with ranges interpolated from the
 nearest recorded states by retained-row fraction (Fig. 12 Case 2); a
 state whose parameterized vector is (1+ε)-covered by a current skyline
 entry is pruned without valuation — the monotonicity condition is
-carried by the interpolated bounds. NOBiMODis is the same engine with
+carried by the interpolated bounds. NOBiMODis is the same search with
 pruning disabled.
 
-The search ends when N states are seen, when ``max_level`` levels are
-expanded, or when both frontiers are empty. The paper's "when a path is
-formed, the result D_F is returned" rule is not implemented: a state
-reached from one side is skipped by the other, so the two frontiers
-never share a state.
+Both frontiers are the two start states of one level-wise
+``frontier_search``: each level is expanded best-decisive-first,
+forward side before backward side, with a calibration round between
+levels. The search ends when N states are seen, when ``max_level``
+levels are expanded, or when both frontiers are empty. The paper's
+"when a path is formed, the result D_F is returned" rule is not
+implemented: a state reached from one side is skipped by the other, so
+the two frontiers never share a state.
 """
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from repro.core.dominance import Vec
 from repro.core.literals import Bits
 from repro.core.operators import augment_children, reduct_children
 from repro.core.runner import (
-    CALIBRATE_K, ParetoTable, SearchContext, SearchResult, timed
+    OpGen, ParetoTable, SearchContext, SearchResult, frontier_search
 )
 
 # A parameterized performance entry: exact value or [lo, hi] range.
@@ -166,73 +167,14 @@ class CorrPruner:
         return False
 
 
-# -- the bi-directional engine ------------------------------------------
+# -- the bi-directional search -----------------------------------------
 
-def bi_engine(
-    ctx: SearchContext,
-    *,
-    N: int,
-    eps: float,
-    max_level: int,
-    prune: bool,
-    level_hook: Callable[[ParetoTable, int], None] | None = None,
-) -> tuple[ParetoTable, int]:
-    """Shared by BiMODis / NOBiMODis / DivMODis. Returns
-    (pareto table, #spawned). After each level the per-measure
-    champions are true-valuated and E refreshed (runtime T enrichment).
-    """
-    layout = ctx.layout
-    table = ParetoTable(ctx.measures, eps)
-    pruner = CorrPruner(ctx)
-
-    s_u = layout.full_bits()
-    s_b = back_start(ctx)
-    frontier_f: list[tuple[Bits, Vec]] = [(s_u, ctx.valuate(s_u))]
-    frontier_b: list[tuple[Bits, Vec]] = [(s_b, ctx.valuate(s_b))]
-    for s, v in frontier_f + frontier_b:
-        table.offer(s, v)
-        pruner.observe(s, v)
-    seen: set[Bits] = {s_u, s_b}
-    spawned = 2
-
-    for level in range(max_level):
-        if not frontier_f and not frontier_b:
-            break
-        next_f: list[tuple[Bits, Vec]] = []
-        next_b: list[tuple[Bits, Vec]] = []
-        # Best-decisive-first expansion within the level.
-        for frontier, gen, nxt in (
-            (sorted(frontier_f, key=lambda e: e[1][-1]), reduct_children, next_f),
-            (sorted(frontier_b, key=lambda e: e[1][-1]), augment_children, next_b),
-        ):
-            for s, _v in frontier:
-                if len(seen) >= N:
-                    break
-                for child, _op in gen(layout, s):
-                    if child in seen:
-                        continue
-                    if prune:
-                        param = pruner.corr_fp(child)
-                        if param is not None and pruner.can_prune(
-                            param, table, eps
-                        ):
-                            seen.add(child)
-                            continue
-                    seen.add(child)
-                    spawned += 1
-                    cvec = ctx.valuate(child)
-                    table.offer(child, cvec)
-                    pruner.observe(child, cvec)
-                    nxt.append((child, cvec))
-                    if len(seen) >= N:
-                        break
-        frontier_f, frontier_b = next_f, next_b
-        ctx.calibrate(table.entries(), k=CALIBRATE_K)
-        if level_hook is not None:
-            level_hook(table, level)
-        if len(seen) >= N:
-            break
-    return table, spawned
+def bi_starts(ctx: SearchContext) -> list[tuple[Bits, OpGen]]:
+    """The two frontiers' seeds: Reduct from s_U, Augment from BackSt."""
+    return [
+        (ctx.layout.full_bits(), reduct_children),
+        (back_start(ctx), augment_children),
+    ]
 
 
 def bi_modis(
@@ -244,14 +186,13 @@ def bi_modis(
     prune: bool = True,
 ) -> SearchResult:
     """BiMODis (prune=True) / NOBiMODis (prune=False)."""
-
-    def run():
-        return bi_engine(ctx, N=N, eps=eps, max_level=max_level, prune=prune)
-
-    (table, spawned), wall = timed(run)
-    return SearchResult(
-        method="BiMODis" if prune else "NOBiMODis",
-        skyline=table.result(),
-        n_spawned=spawned,
-        wall_time=wall,
+    return frontier_search(
+        ctx,
+        "BiMODis" if prune else "NOBiMODis",
+        bi_starts(ctx),
+        N=N,
+        eps=eps,
+        max_level=max_level,
+        levelwise=True,
+        pruner=CorrPruner(ctx) if prune else None,
     )

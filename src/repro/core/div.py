@@ -1,8 +1,9 @@
 """DivMODis: diversified skyline generation (Alg. 3, §5.4).
 
-Runs the bi-directional engine and, at every level, trims the current
-ε-skyline to a diversified k-subset by greedy selection-and-replacement
-maximizing the submodular score of Eq. (2):
+Runs the bi-directional, level-wise ``frontier_search`` and, at each
+calibration round (one per level), trims the current ε-skyline to a
+diversified k-subset by greedy selection-and-replacement maximizing the
+submodular score of Eq. (2):
 
     div(D_F) = Σ_{i<j} dis(D_i, D_j),
     dis = α·(1 − cos(L_i, L_j))/2 + (1−α)·euc(P_i, P_j)/euc_max,
@@ -15,10 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bi import bi_engine
+from repro.core.bi import bi_starts
 from repro.core.dominance import Vec
 from repro.core.literals import Bits
-from repro.core.runner import ParetoTable, SearchContext, SearchResult, timed
+from repro.core.runner import (
+    ParetoTable, SearchContext, SearchResult, frontier_search
+)
 
 
 def _dis(
@@ -94,7 +97,7 @@ def div_modis(
     alpha: float = 0.5,
     seed: int = 0,
 ) -> SearchResult:
-    """DivMODis over the bi-directional engine (no correlation pruning —
+    """DivMODis over the bi-directional search (no correlation pruning —
     matching the paper's observation that DivMODis behaves like
     NOBiMODis plus a stream-style placement step)."""
 
@@ -108,20 +111,13 @@ def div_modis(
             pos: e for pos, e in table.cells.items() if e[0] in kept_bits
         }
 
-    def run():
-        return bi_engine(
-            ctx,
-            N=N,
-            eps=eps,
-            max_level=max_level,
-            prune=False,
-            level_hook=hook,
-        )
-
-    (table, spawned), wall = timed(run)
-    return SearchResult(
-        method="DivMODis",
-        skyline=table.result(),
-        n_spawned=spawned,
-        wall_time=wall,
+    return frontier_search(
+        ctx,
+        "DivMODis",
+        bi_starts(ctx),
+        N=N,
+        eps=eps,
+        max_level=max_level,
+        levelwise=True,
+        level_hook=hook,
     )

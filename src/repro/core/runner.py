@@ -10,11 +10,19 @@ states with a single estimator call, as the paper prescribes.
 ``ParetoTable`` is procedure UPareto: the (1+ε)-log position grid with
 per-cell replacement on the decisive measure (last measure of P by
 default, §5.1), plus the p_u upper-bound early skip.
+
+``frontier_search`` is the one transducer walk behind all four MODis
+methods: start states with their OpGen direction, a frontier heap in
+one of two expansion orders, optional Lemma-4 pruning, UPareto, and
+calibration rounds that enrich T.
 """
 from __future__ import annotations
 
+import heapq
+import itertools
 import time
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 import pandas as pd
@@ -30,8 +38,10 @@ from repro.lake.tasks import Lake
 from repro.measures import Measure, PerfVector
 from repro.tasks import TabularTask
 
-# True trainings per calibration round, in every search engine.
+# True trainings per calibration round, in every search.
 CALIBRATE_K = 3
+# Spawned states between two calibration rounds of a best-first search.
+CALIBRATE_EVERY = 60
 # Cap on the single-Reduct children of s_U in the estimator's seed sample.
 MAX_SINGLE_FLIPS = 64
 
@@ -219,15 +229,94 @@ class SearchResult:
     n_spawned: int
     wall_time: float
 
+    def checked_skyline(self) -> list[tuple[Bits, Vec]]:
+        """The skyline; ValueError when it is empty, which happens when
+        every valuated state exceeds some measure's upper bound p_u."""
+        if not self.skyline:
+            raise ValueError(
+                f"{self.method} returned an empty skyline: every valuated "
+                "state exceeds the upper bound of some measure"
+            )
+        return self.skyline
+
     def best_by(self, measure_idx: int) -> tuple[Bits, Vec]:
         """The skyline entry minimizing one normalized measure — the
         paper's per-table selection rule ('the table in the Skyline set
         with the best estimated <first metric>')."""
-        return min(self.skyline, key=lambda e: e[1][measure_idx])
+        return min(self.checked_skyline(), key=lambda e: e[1][measure_idx])
 
 
-def timed(fn):
-    """Run ``fn()`` and return (result, wall_seconds)."""
+OpGen = Callable[[UnitLayout, Bits], Iterator[tuple[Bits, str]]]
+
+
+def frontier_search(
+    ctx: SearchContext,
+    method: str,
+    starts: list[tuple[Bits, OpGen]],
+    *,
+    N: int,
+    eps: float,
+    max_level: int,
+    levelwise: bool,
+    pruner=None,
+    level_hook: Callable[[ParetoTable, int], None] | None = None,
+) -> SearchResult:
+    """Walk the transducer from ``starts``, each start expanding with its
+    own OpGen, until N states are seen or no state below ``max_level``
+    is left. The frontier heap pops by (decisive, level) — best-first,
+    with a calibration round every ``CALIBRATE_EVERY`` spawned states —
+    or, if ``levelwise``, by (level, side, decisive) with a round before
+    each deeper level. A round true-evaluates ``CALIBRATE_K`` entries,
+    then calls ``level_hook(table, level)``; the search ends with one
+    more. A ``CorrPruner`` drops a child unvaluated (Lemma 4); it counts
+    towards N but not towards ``n_spawned``.
+    """
     t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
+    table = ParetoTable(ctx.measures, eps)
+    heap: list = []
+    tie = itertools.count()
+    seen: set[Bits] = set()
+    spawned = 0
+
+    def admit(bits: Bits, level: int, side: int) -> None:
+        nonlocal spawned
+        seen.add(bits)
+        spawned += 1
+        vec = ctx.valuate(bits)
+        table.offer(bits, vec)
+        if pruner is not None:
+            pruner.observe(bits, vec)
+        key = (level, side, vec[-1]) if levelwise else (vec[-1], level)
+        heapq.heappush(heap, (key, next(tie), level, side, bits))
+
+    def calibration_round(level: int) -> None:
+        ctx.calibrate(table.entries(), k=CALIBRATE_K)
+        if level_hook is not None:
+            level_hook(table, level)
+
+    for side, (bits, _gen) in enumerate(starts):
+        admit(bits, 0, side)
+    level = 0
+    while heap and len(seen) < N:
+        _key, _tie, s_level, side, s = heapq.heappop(heap)
+        if s_level >= max_level:
+            continue
+        if levelwise and s_level > level:
+            calibration_round(level)
+        level = s_level
+        for child, _op in starts[side][1](ctx.layout, s):
+            if child in seen:
+                continue
+            if pruner is not None:
+                param = pruner.corr_fp(child)
+                if param is not None and pruner.can_prune(param, table, eps):
+                    seen.add(child)
+                    continue
+            admit(child, level + 1, side)
+            if not levelwise and spawned % CALIBRATE_EVERY == 0:
+                calibration_round(level)
+            if len(seen) >= N:
+                break
+    calibration_round(level)
+    wall = time.perf_counter() - t0
+    return SearchResult(method, table.result(), spawned, wall)

@@ -56,10 +56,11 @@ def run_modis(
     Every skyline entry is true-evaluated; the entry with the best
     ``select_key`` raw measure is reported (paper's per-task selection
     rule), with the search wall time as the method's discovery cost.
+    An empty skyline raises ``ValueError``.
     """
     res: SearchResult = MODIS_ALGOS[method](ctx, dict(search_kw or {}))
     best_bits, best_pv = None, None
-    for bits, _vec in res.skyline:
+    for bits, _vec in res.checked_skyline():
         pv = ctx.true_eval(bits)
         if best_pv is None:
             best_bits, best_pv = bits, pv

@@ -1,7 +1,13 @@
 """Experiment harnesses: table runners produce the paper's row/column
 structure at test scale."""
+import dataclasses
+import importlib
+from pathlib import Path
+
 import pytest
 
+import repro.experiments.common as common
+from repro.core.apx import apx_modis
 from repro.experiments.common import MethodRow, format_table, run_modis
 from repro.experiments.table2 import run_table2
 from repro.experiments.table4 import T2_MEASURES, run_comparison
@@ -28,6 +34,37 @@ def test_run_modis_reports_true_measures(house_ctx):
     assert 0 <= row.raw["f1"] <= 1
     assert row.n_rows > 0 and row.n_cols >= 2
     assert "skyline_size" in row.extra
+
+
+def test_empty_skyline_raises_named_error(movie_ctx_true):
+    """Upper bounds p_u that no state meets leave the skyline empty;
+    selecting from it names the method instead of failing inside."""
+    ctx = dataclasses.replace(
+        movie_ctx_true,
+        measures=[dataclasses.replace(m, hi=1e-3) for m in movie_ctx_true.measures],
+    )
+    kw = {"N": 8, "eps": 0.2, "max_level": 2}
+    res = apx_modis(ctx, **kw)
+    assert res.skyline == []
+    msg = "ApxMODis returned an empty skyline"
+    with pytest.raises(ValueError, match=msg):
+        res.best_by(0)
+    with pytest.raises(ValueError, match=msg):
+        run_modis(
+            ctx, "ApxMODis", select_key=ctx.measures[0].raw_key,
+            maximize=True, search_kw=kw,
+        )
+
+
+def test_perfbench_patch_targets_exist(monkeypatch):
+    """The benchmark patches layer functions by name in the modules that
+    look them up, and wraps the search entry points of
+    ``experiments.common``; entering and leaving its patches must work."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    layers = importlib.import_module("layers")
+    with layers.patched(layers.Tracer()):
+        for name in ("apx_modis", "bi_modis", "div_modis"):
+            assert callable(getattr(common, name))
 
 
 def test_run_comparison_subset(spark):

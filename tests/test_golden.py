@@ -1,6 +1,7 @@
 """Golden skylines: with a fixed time unit, p_Train is a work count and
 the whole search is deterministic, so each MODis method must return the
-recorded skyline bitmaps and spawn count on the small house lake."""
+recorded skyline bitmaps, spawn count and number of true trainings on
+the small house lake."""
 import copy
 import dataclasses
 
@@ -18,16 +19,18 @@ RUNS = {
     "DivMODis": lambda ctx: div_modis(ctx, N=80, eps=0.2, max_level=4, k=3),
 }
 
-# (n_spawned, sorted skyline bitmaps) per method. Re-record only for a
-# change meant to move skylines. ApxMODis at N=80 crosses one
-# 60-state calibration round.
+# (n_spawned, true trainings, sorted skyline bitmaps) per method.
+# Re-record only for a change meant to move skylines or the calibration
+# schedule. True trainings are len(ctx.tests) after the run, 29 of them
+# from seeding; the rest pin the number of calibration rounds, which
+# the skyline bitmaps alone may not show.
 GOLDEN = {
-    "ApxMODis": (80, [
+    "ApxMODis": (80, 35, [
         "111110111111001011111",
         "111110111111101011111",
         "111110111111111111111",
     ]),
-    "NOBiMODis": (80, [
+    "NOBiMODis": (80, 35, [
         "110000011100100000000",
         "110100011100000000000",
         "110110111111111111111",
@@ -36,7 +39,7 @@ GOLDEN = {
         "111110111111101111111",
         "111110111111111111111",
     ]),
-    "BiMODis": (44, [
+    "BiMODis": (44, 35, [
         "101110111111111111111",
         "110000011100100000000",
         "110100011100000000000",
@@ -44,7 +47,7 @@ GOLDEN = {
         "111010111111111111111",
         "111110111111111111111",
     ]),
-    "DivMODis": (80, [
+    "DivMODis": (80, 35, [
         "110100011100000000000",
         "111110111111111111111",
     ]),
@@ -64,6 +67,7 @@ def golden_ctx(spark, house_small):
 
 @pytest.mark.parametrize("method", list(RUNS))
 def test_golden_skyline(golden_ctx, method):
-    res = RUNS[method](copy.deepcopy(golden_ctx))
+    ctx = copy.deepcopy(golden_ctx)
+    res = RUNS[method](ctx)
     bitmaps = sorted("".join(map(str, bits)) for bits, _ in res.skyline)
-    assert (res.n_spawned, bitmaps) == GOLDEN[method]
+    assert (res.n_spawned, len(ctx.tests), bitmaps) == GOLDEN[method]
