@@ -13,14 +13,14 @@ import numpy as np
 import pandas as pd
 
 from repro.ml.linear import LinearRegression, LogisticRegression
-from repro.tasks import CLASSIFICATION, TabularTask, _featurize
+from repro.tasks import CLASSIFICATION, TabularTask, _encode, _featurize
 
 
 def h2o_fs(universal_pdf: pd.DataFrame, task: TabularTask) -> pd.DataFrame:
     """Keep key/target plus features with above-mean |linear coef|."""
     pdf = universal_pdf.dropna(subset=[task.target])
     feats = [c for c in pdf.columns if c not in task.protected_cols()]
-    X = _featurize(pdf, feats)
+    X = _featurize(_encode(pdf, feats))
     sd = X.std(axis=0)
     sd[sd == 0] = 1.0
     Z = (X - X.mean(axis=0)) / sd

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.tasks import CLASSIFICATION, TabularTask, _featurize
+from repro.tasks import CLASSIFICATION, TabularTask, _encode, _featurize
 
 
 def hydragan(
@@ -26,7 +26,7 @@ def hydragan(
     rng = np.random.default_rng(seed)
     pdf = universal_pdf.dropna(subset=[task.target])
     feats = [c for c in pdf.columns if c not in task.protected_cols()]
-    X = _featurize(pdf, feats)
+    X = _featurize(_encode(pdf, feats))
     y = pdf[task.target].to_numpy()
     if task.kind == CLASSIFICATION:
         strata = y

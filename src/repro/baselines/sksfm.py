@@ -13,14 +13,14 @@ import numpy as np
 import pandas as pd
 
 from repro.ml.boosting import GradientBoostingClassifier, GradientBoostingRegressor
-from repro.tasks import CLASSIFICATION, TabularTask, _featurize
+from repro.tasks import CLASSIFICATION, TabularTask, _encode, _featurize
 
 
 def sksfm(universal_pdf: pd.DataFrame, task: TabularTask) -> pd.DataFrame:
     """Keep key/target plus features with above-mean GB importance."""
     pdf = universal_pdf.dropna(subset=[task.target])
     feats = [c for c in pdf.columns if c not in task.protected_cols()]
-    X = _featurize(pdf, feats)
+    X = _featurize(_encode(pdf, feats))
     y = pdf[task.target].to_numpy()
     if task.kind == CLASSIFICATION:
         model = GradientBoostingClassifier(n_estimators=25, max_depth=3)

@@ -2,10 +2,12 @@
 algorithms (paper §3 "Running", §5.1 UPareto).
 
 ``SearchContext`` is the configuration C = (s_U, O, M, T, E): it owns
-the collected universal table, the unit layout, the task (model M), the
-measure set P, the test cache T of true valuations, and the MO-GBM
-estimator E seeded from a sample of states — so a search valuates most
-states with a single estimator call, as the paper prescribes.
+the collected universal table (also encoded once by the task, so every
+state is true-evaluated from its row mask and columns, without a
+DataFrame), the unit layout, the task (model M), the measure set P, the
+test cache T of true valuations, and the MO-GBM estimator E seeded from
+a sample of states — so a search valuates most states with a single
+estimator call, as the paper prescribes.
 
 ``ParetoTable`` is procedure UPareto: the (1+ε)-log position grid with
 per-cell replacement on the decisive measure (last measure of P by
@@ -57,6 +59,10 @@ class SearchContext:
     est_cache: dict[Bits, tuple] = field(default_factory=dict)
     n_valuations: int = 0  # estimator + true-model valuations performed
     base_attrs: list[str] = field(default_factory=list)
+    encoded: object = field(init=False, repr=False)  # task.encode(D_U)
+
+    def __post_init__(self) -> None:
+        self.encoded = self.task.encode(self.universal_pdf)
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -102,10 +108,15 @@ class SearchContext:
 
     # -- valuation -------------------------------------------------------
     def true_eval(self, bits: Bits) -> PerfVector:
-        """Train/evaluate the actual model M on the state's dataset."""
+        """Train/evaluate the actual model M on the state's dataset: the
+        rows and columns of encoded D_U that the bitmap retains."""
         if bits in self.tests:
             return self.tests[bits]
-        raw = self.task.evaluate(self.materialize(bits))
+        raw = self.task.evaluate_encoded(
+            self.encoded,
+            self.layout.row_mask(bits),
+            self.layout.active_columns(bits),
+        )
         pv = PerfVector.from_raw(raw, self.measures)
         self.tests[bits] = pv
         self.n_valuations += 1

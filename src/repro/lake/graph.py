@@ -43,10 +43,10 @@ class GraphTask:
     """Link-regression task: fixed LightGCN-lite M + ranking metrics.
 
     Mirrors the :class:`repro.tasks.TabularTask` interface consumed by
-    :class:`repro.core.runner.SearchContext` (evaluate / protected_cols
-    / keep_cols / key / target), so the whole MODis stack runs on
-    graphs unchanged — the paper's §6 point that the generation
-    "consistently aligns with its table data counterpart".
+    :class:`repro.core.runner.SearchContext` (encode / evaluate_encoded /
+    evaluate / protected_cols / keep_cols / key / target), so the whole
+    MODis stack runs on graphs unchanged — the paper's §6 point that the
+    generation "consistently aligns with its table data counterpart".
     """
 
     name: str
@@ -66,6 +66,16 @@ class GraphTask:
 
     def keep_cols(self) -> list[str]:
         return [self.key, self.target, "u", "i"]
+
+    def encode(self, pdf: pd.DataFrame) -> pd.DataFrame:
+        """The edge frame is its own encoding: M reads node ids, and
+        feature columns only by name."""
+        return pdf
+
+    def evaluate_encoded(
+        self, pdf: pd.DataFrame, mask: np.ndarray, cols: list[str]
+    ) -> dict[str, float]:
+        return self.evaluate(pdf.loc[mask, self.keep_cols() + cols])
 
     def evaluate(self, pdf: pd.DataFrame) -> dict[str, float]:
         uf_cols = [c for c in pdf.columns if c.startswith("uf_")]

@@ -142,15 +142,13 @@ def mutual_information(X: np.ndarray, y: np.ndarray, bins: int = 10) -> float:
     if np.issubdtype(y.dtype, np.floating) and len(np.unique(y)) > 10:
         y = np.digitize(y, np.quantile(y, [0.25, 0.5, 0.75]))
     _, yi = np.unique(y, return_inverse=True)
-    n = len(yi)
+    n, ny = len(yi), yi.max() + 1
+    edges = np.quantile(X, np.linspace(0, 1, bins + 1)[1:-1], axis=0)
     mis = []
     for j in range(X.shape[1]):
-        col = X[:, j]
-        edges = np.quantile(col, np.linspace(0, 1, bins + 1)[1:-1])
-        xb = np.searchsorted(np.unique(edges), col, side="right")
-        joint = np.zeros((xb.max() + 1, yi.max() + 1))
-        np.add.at(joint, (xb, yi), 1.0)
-        joint /= n
+        xb = np.searchsorted(np.unique(edges[:, j]), X[:, j], side="right")
+        nx = xb.max() + 1
+        joint = np.bincount(xb * ny + yi, minlength=nx * ny).reshape(nx, ny) / n
         px = joint.sum(axis=1, keepdims=True)
         py = joint.sum(axis=0, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):

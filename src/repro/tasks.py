@@ -7,10 +7,15 @@ median-impute numerics — the null-fill required after the paper's
 outer-join Augment), a deterministic key-hash train/test split (so every
 candidate dataset is scored on a consistent holdout), and a training-time
 measure. Wall-clock time is noisy at millisecond scale, so a
-deterministic cost model (``rows·cols·unit``) is injectable for tests;
-benchmarks use real ``perf_counter`` time. The model factory must build
-a *fixed deterministic* model (paper §2) — all our numpy models are
-seeded.
+deterministic cost model (``rows·cols·time_unit``) can replace the
+``perf_counter`` time of the fit. The model factory must build a *fixed
+deterministic* model (paper §2) — all our numpy models are seeded.
+
+Evaluation runs on arrays. :meth:`TabularTask.encode` turns a frame into
+an :class:`Encoded` float matrix once; :meth:`TabularTask.evaluate_encoded`
+scores any rows × columns of it. A search state is such a subset of the
+encoded D_U (paper §5.1: a bitmap over D_U); :meth:`TabularTask.evaluate`
+scores a whole frame the same way.
 """
 from __future__ import annotations
 
@@ -27,25 +32,58 @@ CLASSIFICATION = "classification"
 REGRESSION = "regression"
 
 
-def _featurize(
-    pdf: pd.DataFrame, feature_cols: list[str]
-) -> np.ndarray:
-    """Ordinal-encode object/category columns, median-impute NaNs."""
-    cols = []
-    for c in feature_cols:
+def _is_categorical(s: pd.Series) -> bool:
+    return s.dtype == object or str(s.dtype).startswith("category")
+
+
+def _encode(pdf: pd.DataFrame, cols: list[str]) -> np.ndarray:
+    """C-contiguous float64 matrix of ``cols``, NaN for nulls; an
+    object/category column holds the rank of its value among the frame's
+    distinct values (ordinal codes)."""
+    X = np.empty((len(pdf), len(cols)))
+    for j, c in enumerate(cols):
         s = pdf[c]
-        if s.dtype == object or str(s.dtype).startswith("category"):
+        if _is_categorical(s):
             codes = pd.Categorical(s).codes.astype(np.float64)
             codes[codes < 0] = np.nan
-            s = pd.Series(codes, index=s.index)
-        v = pd.to_numeric(s, errors="coerce").astype(np.float64)
-        med = np.nanmedian(v)
-        if not np.isfinite(med):
-            med = 0.0
-        cols.append(v.fillna(med).to_numpy())
-    if not cols:
-        return np.empty((len(pdf), 0))
-    return np.column_stack(cols)
+            X[:, j] = codes
+        else:
+            X[:, j] = pd.to_numeric(s, errors="coerce").astype(np.float64)
+    return X
+
+
+def _rank_codes(X: np.ndarray, cat: np.ndarray) -> None:
+    """Re-code each categorical column of X, in place, by rank among its
+    own values, so one dataset has one code per value in every split."""
+    for j in np.flatnonzero(cat):
+        col = X[:, j]
+        ok = ~np.isnan(col)
+        col[ok] = np.unique(col[ok], return_inverse=True)[1]
+
+
+def _featurize(X: np.ndarray) -> np.ndarray:
+    """Median-impute each column's NaNs in place and return X; an
+    all-null column is filled with 0.0."""
+    nan = np.isnan(X)
+    for j in np.flatnonzero(nan.any(axis=0)):
+        miss = nan[:, j]
+        X[miss, j] = 0.0 if miss.all() else np.nanmedian(X[:, j])
+    return X
+
+
+@dataclass(frozen=True)
+class Encoded:
+    """A frame encoded for evaluation: the feature matrix over ``cols``
+    (see :func:`_encode`), which of its columns are categorical, the
+    target in its frame dtype, and per-row target-present and test-row
+    masks."""
+
+    cols: list[str]
+    X: np.ndarray
+    cat: np.ndarray
+    y: np.ndarray
+    target_ok: np.ndarray
+    is_test: np.ndarray
 
 
 @dataclass
@@ -72,38 +110,58 @@ class TabularTask:
         return [self.key, self.target]
 
     def split(self, pdf: pd.DataFrame) -> tuple[pd.DataFrame, pd.DataFrame]:
-        is_test = (pdf[self.key].astype(np.int64) % self.test_mod) == 0
+        is_test = self._is_test(pdf)
         return pdf[~is_test], pdf[is_test]
 
+    def _is_test(self, pdf: pd.DataFrame) -> pd.Series:
+        return (pdf[self.key].astype(np.int64) % self.test_mod) == 0
+
+    def encode(self, pdf: pd.DataFrame) -> Encoded:
+        """Encode every non-protected column of the frame (see :class:`Encoded`)."""
+        cols = [c for c in pdf.columns if c not in self.protected_cols()]
+        return Encoded(
+            cols=cols,
+            X=_encode(pdf, cols),
+            cat=np.array([_is_categorical(pdf[c]) for c in cols], dtype=bool),
+            y=pdf[self.target].to_numpy(),
+            target_ok=pdf[self.target].notna().to_numpy(),
+            is_test=self._is_test(pdf).to_numpy(),
+        )
+
     def evaluate(self, pdf: pd.DataFrame) -> dict[str, float]:
-        """Train M on the candidate dataset, return raw measures.
+        """Raw measures of M on the frame's rows that have a target."""
+        enc = self.encode(pdf)
+        return self.evaluate_encoded(enc, np.ones(len(pdf), dtype=bool), enc.cols)
 
-        Degenerate candidates (too few rows, a single class, no
-        features) get pessimal scores instead of raising, so the search
-        can valuate any state the operators produce.
+    def evaluate_encoded(
+        self, enc: Encoded, mask: np.ndarray, cols: list[str]
+    ) -> dict[str, float]:
+        """Train M on the rows of ``enc`` that ``mask`` keeps and that
+        have a target, with features ``cols``; return raw measures.
+
+        Categorical codes are ranked within those rows; NaNs are imputed
+        per split (train, test, and all rows for Fisher/MI). Degenerate
+        candidates (too few rows, a single class, no features) get
+        pessimal scores instead of raising, so the search can valuate any
+        state the operators produce.
         """
-        feature_cols = [
-            c for c in pdf.columns if c not in self.protected_cols()
-        ]
-        pdf = pdf.dropna(subset=[self.target])
-        train, test = self.split(pdf)
-        n_rows, n_cols = len(train), len(feature_cols)
-        if self.kind == CLASSIFICATION:
-            degenerate = (
-                n_rows < 20
-                or len(test) < 5
-                or n_cols == 0
-                or train[self.target].nunique() < 2
-            )
-        else:
-            degenerate = n_rows < 20 or len(test) < 5 or n_cols == 0
+        rows = np.flatnonzero(mask & enc.target_ok)
+        idx = [enc.cols.index(c) for c in cols]
+        test = enc.is_test[rows]
+        train_rows, test_rows = rows[~test], rows[test]
+        n_rows, n_cols = len(train_rows), len(cols)
+        ytr = enc.y[train_rows]
+        degenerate = n_rows < 20 or len(test_rows) < 5 or n_cols == 0
+        if self.kind == CLASSIFICATION and not degenerate:
+            degenerate = len(np.unique(ytr)) < 2
         if degenerate:
-            return self._worst(pdf, feature_cols)
+            return self._worst(len(rows), n_cols)
 
-        Xtr = _featurize(train, feature_cols)
-        Xte = _featurize(test, feature_cols)
-        ytr = train[self.target].to_numpy()
-        yte = test[self.target].to_numpy()
+        X = enc.X[np.ix_(rows, idx)]
+        _rank_codes(X, enc.cat[idx])
+        Xtr = _featurize(X[~test])
+        Xte = _featurize(X[test])
+        yte = enc.y[test_rows]
         model = self.model_factory()
         t0 = time.perf_counter()
         model.fit(Xtr, ytr)
@@ -113,13 +171,13 @@ class TabularTask:
             if self.time_unit is not None
             else wall
         )
-        Xall = _featurize(pdf, feature_cols)
-        yall = pdf[self.target].to_numpy()
+        Xall = _featurize(X)
+        yall = enc.y[rows]
         raw: dict[str, float] = {
             "train_time": float(train_time),
             "fisher": mx.fisher_score(Xall, yall),
             "mi": mx.mutual_information(Xall, yall),
-            "n_rows": float(len(pdf)),
+            "n_rows": float(len(rows)),
             "n_cols": float(n_cols),
         }
         if self.kind == CLASSIFICATION:
@@ -146,13 +204,13 @@ class TabularTask:
             )
         return raw
 
-    def _worst(self, pdf: pd.DataFrame, feature_cols: list[str]) -> dict:
+    def _worst(self, n_rows: int, n_cols: int) -> dict:
         raw = {
             "train_time": 0.0,
             "fisher": 0.0,
             "mi": 0.0,
-            "n_rows": float(len(pdf)),
-            "n_cols": float(len(feature_cols)),
+            "n_rows": float(n_rows),
+            "n_cols": float(n_cols),
             "acc": 0.0,
         }
         if self.kind == CLASSIFICATION:

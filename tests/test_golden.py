@@ -1,9 +1,10 @@
 """Golden skylines: with a fixed time unit, p_Train is a work count and
 the whole search is deterministic, so each MODis method must return the
 recorded skyline bitmaps, spawn count and number of true trainings on
-the small house lake."""
+the small house lake, and the same raw measures in every T entry."""
 import copy
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -54,6 +55,23 @@ GOLDEN = {
 }
 
 
+# sha256 of each method's T entries, sorted (bits, sorted raw items):
+# every raw measure of every true evaluation, to the last bit (repr of a
+# float round-trips). A change to featurization, the split, the model or
+# a metric moves it even where the skyline bitmaps stay put.
+T_DIGEST = {
+    "ApxMODis": "ad4480f7122223bbb6dde708170038810ea3730b54e3b17b8aa872ae9844d2da",
+    "NOBiMODis": "ee19501247f083180392435f820f730b6a895cdf6c138872bf2cdd85750b3fbb",
+    "BiMODis": "c0f25f4cbab070ff5cfd010b6afe3612f338329a40772a716afd4ba1d35559b7",
+    "DivMODis": "ee19501247f083180392435f820f730b6a895cdf6c138872bf2cdd85750b3fbb",
+}
+
+
+def t_digest(tests) -> str:
+    entries = sorted((bits, sorted(pv.raw.items())) for bits, pv in tests.items())
+    return hashlib.sha256(repr(entries).encode()).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def golden_ctx(spark, house_small):
     """A house context with the estimator on and a deterministic p_Train.
@@ -71,3 +89,4 @@ def test_golden_skyline(golden_ctx, method):
     res = RUNS[method](ctx)
     bitmaps = sorted("".join(map(str, bits)) for bits, _ in res.skyline)
     assert (res.n_spawned, len(ctx.tests), bitmaps) == GOLDEN[method]
+    assert t_digest(ctx.tests) == T_DIGEST[method]

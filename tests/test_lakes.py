@@ -61,10 +61,10 @@ def test_poisoned_groups_have_corrupted_labels(spark, house_small):
     lake, task, _m = house_small
     pdf = lake.base.toPandas()
     from repro.ml.forest import RandomForestClassifier
-    from repro.tasks import _featurize
+    from repro.tasks import _encode, _featurize
 
     feats = [c for c in pdf.columns if c.startswith("b_info")]
-    X = _featurize(pdf, feats)
+    X = _featurize(_encode(pdf, feats))
     y = pdf["target"].to_numpy()
     poisoned = pdf["grp"].isin([1, 4]).to_numpy()
     # Fit on clean rows only so memorization can't mask the corruption;

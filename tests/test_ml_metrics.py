@@ -101,6 +101,47 @@ def test_mutual_information_regression_target_binned():
     assert mx.mutual_information(x[:, None], y) > 0.3
 
 
+def _mutual_information_add_at(X, y, bins=10):
+    """Reference: the per-column quantile and ``np.add.at`` formulation
+    that ``mutual_information`` replaced."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    if np.issubdtype(y.dtype, np.floating) and len(np.unique(y)) > 10:
+        y = np.digitize(y, np.quantile(y, [0.25, 0.5, 0.75]))
+    _, yi = np.unique(y, return_inverse=True)
+    n = len(yi)
+    mis = []
+    for j in range(X.shape[1]):
+        col = X[:, j]
+        edges = np.quantile(col, np.linspace(0, 1, bins + 1)[1:-1])
+        xb = np.searchsorted(np.unique(edges), col, side="right")
+        joint = np.zeros((xb.max() + 1, yi.max() + 1))
+        np.add.at(joint, (xb, yi), 1.0)
+        joint /= n
+        px = joint.sum(axis=1, keepdims=True)
+        py = joint.sum(axis=0, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term = joint * np.log(joint / (px @ py))
+        mis.append(np.nansum(term))
+    return float(np.mean(mis))
+
+
+def test_mutual_information_matches_add_at_reference():
+    """Bit-identical to the reference on ties, a constant column, a
+    one-row class and a binned regression target."""
+    rng = np.random.default_rng(3)
+    n = 61
+    X = np.column_stack([
+        rng.integers(0, 4, n).astype(float),  # heavy ties: merged edges
+        np.full(n, 2.5),  # constant: a single bin
+        rng.normal(size=n),
+        np.round(rng.normal(size=n), 1),
+    ])
+    y_cls = np.r_[np.zeros(30), np.ones(30), [2]].astype(int)  # class 2: 1 row
+    for y in (y_cls, rng.permutation(y_cls), rng.normal(size=n)):
+        assert mx.mutual_information(X, y) == _mutual_information_add_at(X, y)
+
+
 def test_precision_at_k_hand():
     ranked = {0: [1, 2, 3, 4, 5], 1: [9, 8, 7, 6, 5]}
     rel = {0: {1, 3}, 1: {5}}

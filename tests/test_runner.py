@@ -1,12 +1,24 @@
 """SearchContext (configuration C), valuation caching, estimator
 seeding/refresh, and the UPareto ParetoTable."""
+import dataclasses
 import itertools
 
 import numpy as np
+import pytest
 
+from repro.core.apx import apx_modis
 from repro.core.dominance import dominates, eps_dominates
-from repro.core.runner import ParetoTable
+from repro.core.runner import ParetoTable, SearchContext
+from repro.lake.tasks import avocado_lake
 from repro.measures import Measure
+
+
+@pytest.fixture(scope="module")
+def avocado_ctx_true(spark):
+    lake, task, measures = avocado_lake(spark, scale=0.05)
+    return SearchContext.build(
+        spark, lake, task, measures, max_k=6, use_estimator=False, seed=0
+    )
 
 
 def test_context_seeds_estimator(house_ctx):
@@ -25,6 +37,25 @@ def test_true_eval_cached(house_ctx):
     b = house_ctx.true_eval(bits)
     assert a is b
     assert house_ctx.n_valuations == n0  # already cached during seeding
+
+
+@pytest.mark.parametrize("name", ["house_ctx", "movie_ctx_true", "avocado_ctx_true"])
+def test_true_eval_matches_materialized_frame(request, name):
+    """Every T entry of a short exact search, evaluated from encoded D_U
+    by row and column indices, equals the evaluation of the state's
+    materialized frame, bit for bit (with a deterministic p_Train)."""
+    shared = request.getfixturevalue(name)
+    ctx = dataclasses.replace(
+        shared,
+        task=dataclasses.replace(shared.task, time_unit=1e-6),
+        tests={},
+        est_cache={},
+        estimator=None,
+    )
+    apx_modis(ctx, N=20, eps=0.2, max_level=3)
+    assert len(ctx.tests) == 20
+    for bits, pv in ctx.tests.items():
+        assert pv.raw == ctx.task.evaluate(ctx.materialize(bits))
 
 
 def test_valuate_prefers_true_tests(house_ctx):

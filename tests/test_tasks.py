@@ -1,11 +1,21 @@
 """TabularTask: featurization, deterministic split, degenerate guards,
-and the deterministic training-cost model."""
+and the deterministic training-cost model. Guards and encoding are
+checked on both evaluation paths: a whole frame (``evaluate``) and the
+full state of a search context over it (``true_eval``)."""
+import warnings
+
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.literals import UnitLayout
+from repro.core.runner import SearchContext
+from repro.measures import p_acc
 from repro.ml.forest import RandomForestClassifier
-from repro.tasks import CLASSIFICATION, REGRESSION, TabularTask, _featurize
+from repro.ml.linear import LinearRegression
+from repro.tasks import CLASSIFICATION, REGRESSION, TabularTask, _encode, _featurize
+
+PATHS = ("frame", "state")
 
 
 def _mk_task(kind=CLASSIFICATION, time_unit=None):
@@ -33,9 +43,25 @@ def _pdf(n=200, seed=0):
     )
 
 
+def _context(task, pdf):
+    layout = UnitLayout.from_universal(pdf, protected=task.protected_cols())
+    return SearchContext(
+        layout=layout, universal_pdf=pdf, task=task, measures=[p_acc()]
+    )
+
+
+def _evaluate(task, pdf, path):
+    """Raw measures of the frame: evaluated whole, or as the universal
+    state of a search context built over it."""
+    if path == "frame":
+        return task.evaluate(pdf)
+    ctx = _context(task, pdf)
+    return ctx.true_eval(ctx.layout.full_bits()).raw
+
+
 def test_featurize_encodes_categories():
     pdf = pd.DataFrame({"c": ["a", "b", "a", None]})
-    X = _featurize(pdf, ["c"])
+    X = _featurize(_encode(pdf, ["c"]))
     assert X.shape == (4, 1)
     assert np.isfinite(X).all()  # null imputed
     assert X[0, 0] == X[2, 0]
@@ -43,13 +69,13 @@ def test_featurize_encodes_categories():
 
 def test_featurize_imputes_median():
     pdf = pd.DataFrame({"v": [1.0, np.nan, 3.0]})
-    X = _featurize(pdf, ["v"])
+    X = _featurize(_encode(pdf, ["v"]))
     assert X[1, 0] == pytest.approx(2.0)
 
 
 def test_featurize_empty_columns():
     pdf = pd.DataFrame({"v": [1.0, 2.0]})
-    assert _featurize(pdf, []).shape == (2, 0)
+    assert _featurize(_encode(pdf, [])).shape == (2, 0)
 
 
 def test_split_deterministic_by_key():
@@ -93,22 +119,79 @@ def test_evaluate_regression_keys():
     assert raw["r2"] > 0.9
 
 
-def test_degenerate_too_few_rows():
-    raw = _mk_task().evaluate(_pdf(10))
+@pytest.mark.parametrize("path", PATHS)
+def test_degenerate_too_few_rows(path):
+    raw = _evaluate(_mk_task(), _pdf(10), path)
     assert raw["acc"] == 0.0 and raw["f1"] == 0.0
 
 
-def test_degenerate_single_class():
+@pytest.mark.parametrize("path", PATHS)
+def test_degenerate_single_class(path):
     pdf = _pdf()
     pdf["target"] = 1
-    raw = _mk_task().evaluate(pdf)
+    raw = _evaluate(_mk_task(), pdf, path)
     assert raw["acc"] == 0.0
 
 
-def test_degenerate_no_features():
+@pytest.mark.parametrize("path", PATHS)
+def test_degenerate_no_features(path):
     pdf = _pdf()[["key", "target"]]
-    raw = _mk_task().evaluate(pdf)
+    raw = _evaluate(_mk_task(), pdf, path)
     assert raw["n_cols"] == 0 and raw["acc"] == 0.0
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_all_null_attribute_imputes_zero(path):
+    """A column null in every row, and one null in every test row, are
+    filled with 0.0 without taking the median of an empty slice."""
+    pdf = _pdf()
+    pdf["allnull"] = np.nan
+    pdf["testnull"] = np.where(pdf["key"] % 5 == 0, np.nan, pdf["x"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        raw = _evaluate(_mk_task(), pdf, path)
+        X = _featurize(_encode(pdf, ["allnull", "x"]))
+    assert raw["n_cols"] == 5 and np.isfinite(list(raw.values())).all()
+    assert (X[:, 0] == 0.0).all() and (X[:, 1] == pdf["x"]).all()
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_categorical_codes_shared_across_splits(path):
+    """Train holds a, b, c and test only b, c: each value must get the
+    same code in both splits, or the model reads 'b' in test as 'a'."""
+    n = 200
+    key = np.arange(1, n + 1)
+    is_test = key % 5 == 0
+    cat = np.where(is_test, np.array(["b", "c"])[key % 2], np.array(["a", "b", "c"])[key % 3])
+    pdf = pd.DataFrame({"key": key, "target": (cat == "b").astype(int), "cat": cat})
+    raw = _evaluate(_mk_task(), pdf, path)
+    assert raw["acc"] == 1.0
+
+
+def test_state_path_matches_frame_with_categories():
+    """Every single-Reduct child of a context with a categorical column
+    scores the same through ``true_eval`` as its materialized frame:
+    codes are ranked within the state's own rows on both paths. Ridge
+    regression sees the codes' scale, so dropping the middle category
+    ('b') must re-rank 'c' from 2 to 1."""
+    pdf = _pdf()
+    pdf["target"] = pdf["x"] + (pdf["cat"] == "c") * 2.0
+    pdf.loc[pdf["key"] % 7 == 0, "cat"] = None
+    task = TabularTask(
+        name="r",
+        kind=REGRESSION,
+        target="target",
+        key="key",
+        model_factory=lambda: LinearRegression(l2=1.0),
+        time_unit=1e-6,
+    )
+    ctx = _context(task, pdf)
+    full = ctx.layout.full_bits()
+    states = [full] + [
+        full[:u] + (0,) + full[u + 1:] for u in range(ctx.layout.n_units)
+    ]
+    for bits in states:
+        assert ctx.true_eval(bits).raw == task.evaluate(ctx.materialize(bits))
 
 
 def test_deterministic_time_unit():
@@ -126,8 +209,9 @@ def test_wall_time_positive_without_unit():
     assert raw["train_time"] > 0
 
 
-def test_nan_targets_dropped():
+@pytest.mark.parametrize("path", PATHS)
+def test_nan_targets_dropped(path):
     pdf = _pdf()
     pdf.loc[:20, "target"] = np.nan
-    raw = _mk_task().evaluate(pdf)
+    raw = _evaluate(_mk_task(), pdf, path)
     assert raw["n_rows"] <= len(pdf) - 20
