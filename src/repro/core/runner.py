@@ -7,7 +7,9 @@ state is true-evaluated from its row mask and columns, without a
 DataFrame), the unit layout, the task (model M), the measure set P, the
 test cache T of true valuations, and the MO-GBM estimator E seeded from
 a sample of states — so a search valuates most states with a single
-estimator call, as the paper prescribes.
+estimator call, as the paper prescribes. ``true_eval_many`` trains M on
+a batch of states in forked worker processes and writes the results
+to T in batch order, exactly as one ``true_eval`` after another would.
 
 ``ParetoTable`` is procedure UPareto: the (1+ε)-log position grid with
 per-cell replacement on the decisive measure (last measure of P by
@@ -22,7 +24,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import multiprocessing
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -47,6 +52,22 @@ CALIBRATE_EVERY = 60
 # Cap on the single-Reduct children of s_U in the estimator's seed sample.
 MAX_SINGLE_FLIPS = 64
 
+_worker_ctx: "SearchContext | None" = None  # set in each worker process only
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: the most workers a batch gets."""
+    return len(os.sched_getaffinity(0))
+
+
+def _init_worker(ctx: "SearchContext") -> None:
+    global _worker_ctx
+    _worker_ctx = ctx
+
+
+def _evaluate_in_worker(bits: Bits) -> dict[str, float]:
+    return _worker_ctx.evaluate_state(bits)
+
 
 @dataclass
 class SearchContext:
@@ -60,6 +81,11 @@ class SearchContext:
     n_valuations: int = 0  # estimator + true-model valuations performed
     base_attrs: list[str] = field(default_factory=list)
     encoded: object = field(init=False, repr=False)  # task.encode(D_U)
+    # Worker pool of the current batch phase, and raw measures the
+    # workers returned that true_eval has not written to T yet.
+    _pool: object = field(init=False, repr=False, default=None)
+    _pool_held: bool = field(init=False, repr=False, default=False)
+    _prefetched: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self.encoded = self.task.encode(self.universal_pdf)
@@ -107,20 +133,73 @@ class SearchContext:
         )
 
     # -- valuation -------------------------------------------------------
-    def true_eval(self, bits: Bits) -> PerfVector:
-        """Train/evaluate the actual model M on the state's dataset: the
-        rows and columns of encoded D_U that the bitmap retains."""
-        if bits in self.tests:
-            return self.tests[bits]
-        raw = self.task.evaluate_encoded(
+    def evaluate_state(self, bits: Bits) -> dict[str, float]:
+        """Raw measures of the actual model M trained on the state's
+        dataset: the rows and columns of encoded D_U the bitmap retains."""
+        return self.task.evaluate_encoded(
             self.encoded,
             self.layout.row_mask(bits),
             self.layout.active_columns(bits),
         )
+
+    def true_eval(self, bits: Bits) -> PerfVector:
+        """The state's true performance vector, from T or by training M
+        (or from a worker's result that ``true_eval_many`` received)."""
+        if bits in self.tests:
+            return self.tests[bits]
+        raw = self._prefetched.pop(bits, None)
+        if raw is None:
+            raw = self.evaluate_state(bits)
         pv = PerfVector.from_raw(raw, self.measures)
         self.tests[bits] = pv
         self.n_valuations += 1
         return pv
+
+    def true_eval_many(self, bits_list: list[Bits]) -> list[PerfVector]:
+        """``[true_eval(b) for b in bits_list]``, with the states missing
+        from T trained in parallel worker processes first."""
+        self._prefetch(bits_list)
+        return [self.true_eval(b) for b in bits_list]
+
+    def _prefetch(self, bits_list: list[Bits]) -> None:
+        """Train M on the distinct states of ``bits_list`` that are not
+        in T, one state per task, on ``min(usable CPUs, states)`` forked
+        workers; ``true_eval`` takes each result from there. With one
+        state or one CPU, nothing runs here and ``true_eval`` trains."""
+        missing = [b for b in dict.fromkeys(bits_list) if b not in self.tests]
+        workers = min(usable_cpus(), len(missing))
+        if workers < 2:
+            return
+        with self.worker_pool():
+            if self._pool is None:
+                # Forked, not spawned: a fork shares encoded D_U, the layout
+                # and the task without pickling them, and starts in
+                # milliseconds. Workers only train M on numpy arrays; they
+                # never call into Spark, whose Py4J threads a fork drops.
+                self._pool = multiprocessing.get_context("fork").Pool(
+                    workers, _init_worker, (self,)
+                )
+            raws = self._pool.map(_evaluate_in_worker, missing, chunksize=1)
+        self._prefetched.update(zip(missing, raws))
+
+    @contextmanager
+    def worker_pool(self) -> Iterator[None]:
+        """Keep the workers that the first batch inside the block forks
+        for every later batch of the block (a phase of several batches,
+        such as one search); stop them when the outermost block ends,
+        on an exception too."""
+        if self._pool_held:
+            yield
+            return
+        self._pool_held = True
+        try:
+            yield
+        finally:
+            pool, self._pool, self._pool_held = self._pool, None, False
+            self._prefetched.clear()
+            if pool is not None:
+                pool.terminate()
+                pool.join()
 
     def valuate(self, bits: Bits) -> Vec:
         """Normalized performance vector via T, else E, else M (§3 (2))."""
@@ -165,9 +244,7 @@ class SearchContext:
             states.append(bits)
         if self.base_attrs:
             states.append(self.layout.schema_bits(self.base_attrs))
-        states = list(dict.fromkeys(states))
-        for b in states:
-            self.true_eval(b)
+        self.true_eval_many(list(dict.fromkeys(states)))
         self.refresh_estimator()
 
     def refresh_estimator(self) -> None:
@@ -188,13 +265,10 @@ class SearchContext:
         cands: list[tuple[Bits, Vec]] = [
             min(entries, key=lambda e: e[1][j]) for j in range(len(self.measures))
         ] + sorted(entries, key=lambda e: e[1][-1])
-        done = 0
-        for bits, _ in cands:
-            if bits not in self.tests:
-                self.true_eval(bits)
-                done += 1
-                if done >= k:
-                    break
+        chosen = [
+            b for b in dict.fromkeys(b for b, _ in cands) if b not in self.tests
+        ]
+        done = len(self.true_eval_many(chosen[:k]))
         # Only refresh when a surrogate is in play: an estimator-free
         # configuration (exact valuation) must stay exact.
         if done and self.estimator is not None:
@@ -280,7 +354,10 @@ def frontier_search(
     each deeper level. A round true-evaluates ``CALIBRATE_K`` entries,
     then calls ``level_hook(table, level)``; the search ends with one
     more. A ``CorrPruner`` drops a child unvaluated (Lemma 4); it counts
-    towards N but not towards ``n_spawned``.
+    towards N but not towards ``n_spawned``. Batches of true trainings
+    (calibration rounds; with exact valuation and no pruner, the unseen
+    children of each expanded state) share one worker pool, which the
+    search stops before it returns.
     """
     t0 = time.perf_counter()
     table = ParetoTable(ctx.measures, eps)
@@ -288,6 +365,13 @@ def frontier_search(
     tie = itertools.count()
     seen: set[Bits] = set()
     spawned = 0
+    # Exact valuation without pruning admits every unseen child of an
+    # expanded state until N, so those children can be trained as one
+    # batch. Pruning tests read the table as it fills, so a batch there
+    # would train states the serial walk prunes.
+    batched = pruner is None and not (
+        ctx.estimator is not None and ctx.estimator.fitted
+    )
 
     def admit(bits: Bits, level: int, side: int) -> None:
         nonlocal spawned
@@ -300,34 +384,50 @@ def frontier_search(
         key = (level, side, vec[-1]) if levelwise else (vec[-1], level)
         heapq.heappush(heap, (key, next(tie), level, side, bits))
 
+    def first_unseen(children, cap: int) -> list[tuple[Bits, str]]:
+        """The first ``cap`` distinct unseen children, drawing from the
+        OpGen no further than the walk itself would."""
+        picked: dict[Bits, str] = {}
+        for child, op in children:
+            if child not in seen:
+                picked.setdefault(child, op)
+                if len(picked) == cap:
+                    break
+        return list(picked.items())
+
     def calibration_round(level: int) -> None:
         ctx.calibrate(table.entries(), k=CALIBRATE_K)
         if level_hook is not None:
             level_hook(table, level)
 
-    for side, (bits, _gen) in enumerate(starts):
-        admit(bits, 0, side)
-    level = 0
-    while heap and len(seen) < N:
-        _key, _tie, s_level, side, s = heapq.heappop(heap)
-        if s_level >= max_level:
-            continue
-        if levelwise and s_level > level:
-            calibration_round(level)
-        level = s_level
-        for child, _op in starts[side][1](ctx.layout, s):
-            if child in seen:
+    with ctx.worker_pool():
+        for side, (bits, _gen) in enumerate(starts):
+            admit(bits, 0, side)
+        level = 0
+        while heap and len(seen) < N:
+            _key, _tie, s_level, side, s = heapq.heappop(heap)
+            if s_level >= max_level:
                 continue
-            if pruner is not None:
-                param = pruner.corr_fp(child)
-                if param is not None and pruner.can_prune(param, table, eps):
-                    seen.add(child)
-                    continue
-            admit(child, level + 1, side)
-            if not levelwise and spawned % CALIBRATE_EVERY == 0:
+            if levelwise and s_level > level:
                 calibration_round(level)
-            if len(seen) >= N:
-                break
-    calibration_round(level)
+            level = s_level
+            children = starts[side][1](ctx.layout, s)
+            if batched:
+                children = first_unseen(children, N - len(seen))
+                ctx._prefetch([c for c, _ in children])
+            for child, _op in children:
+                if child in seen:
+                    continue
+                if pruner is not None:
+                    param = pruner.corr_fp(child)
+                    if param is not None and pruner.can_prune(param, table, eps):
+                        seen.add(child)
+                        continue
+                admit(child, level + 1, side)
+                if not levelwise and spawned % CALIBRATE_EVERY == 0:
+                    calibration_round(level)
+                if len(seen) >= N:
+                    break
+        calibration_round(level)
     wall = time.perf_counter() - t0
     return SearchResult(method, table.result(), spawned, wall)

@@ -53,27 +53,27 @@ def run_modis(
 ) -> MethodRow:
     """Run one MODis algorithm and report its selected skyline table.
 
-    Every skyline entry is true-evaluated; the entry with the best
-    ``select_key`` raw measure is reported (paper's per-task selection
-    rule), with the search wall time as the method's discovery cost.
-    An empty skyline raises ``ValueError``.
+    Every skyline entry is true-evaluated, in one batch; the entry with
+    the best ``select_key`` raw measure is reported (paper's per-task
+    selection rule), with the search wall time as the method's
+    discovery cost. An empty skyline raises ``ValueError``.
     """
     res: SearchResult = MODIS_ALGOS[method](ctx, dict(search_kw or {}))
+    skyline = res.checked_skyline()
+    pvs = ctx.true_eval_many([bits for bits, _ in skyline])
     best_bits, best_pv = None, None
-    for bits, _vec in res.checked_skyline():
-        pv = ctx.true_eval(bits)
+    for (bits, _vec), pv in zip(skyline, pvs):
         if best_pv is None:
             best_bits, best_pv = bits, pv
             continue
         a, b = pv.raw[select_key], best_pv.raw[select_key]
         if (a > b) if maximize else (a < b):
             best_bits, best_pv = bits, pv
-    out_pdf = ctx.materialize(best_bits)
     return MethodRow(
         method=method,
         raw=dict(best_pv.raw),
-        n_rows=len(out_pdf),
-        n_cols=len(out_pdf.columns),
+        n_rows=ctx.layout.approx_n_rows(best_bits),
+        n_cols=len(ctx.task.keep_cols()) + len(ctx.layout.active_columns(best_bits)),
         wall_time=res.wall_time,
         extra={"skyline_size": len(res.skyline), "n_spawned": res.n_spawned},
     )

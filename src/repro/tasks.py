@@ -8,7 +8,10 @@ outer-join Augment), a deterministic key-hash train/test split (so every
 candidate dataset is scored on a consistent holdout), and a training-time
 measure. Wall-clock time is noisy at millisecond scale, so a
 deterministic cost model (``rows·cols·time_unit``) can replace the
-``perf_counter`` time of the fit. The model factory must build a *fixed
+``perf_counter`` time of the fit. With ``time_unit=None`` the measure is
+that wall time, taken while sibling fits of the same batch run in other
+worker processes (``SearchContext.true_eval_many``), so it also follows
+their contention for the CPUs. The model factory must build a *fixed
 deterministic* model (paper §2) — all our numpy models are seeded.
 
 Evaluation runs on arrays. :meth:`TabularTask.encode` turns a frame into

@@ -5,11 +5,21 @@ seconds each and are reused read-only across test modules. Contexts
 must be treated as append-only (their valuation caches grow), which is
 safe for every assertion made here.
 """
+import multiprocessing
+
 import pytest
 
 from repro.core.runner import SearchContext
 from repro.lake.graph import graph_lake
 from repro.lake.tasks import house_lake, movie_lake
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    """Fail a test that leaves a worker process of this one running."""
+    yield
+    left = multiprocessing.active_children()
+    assert not left, f"worker processes left running: {left}"
 
 
 @pytest.fixture(scope="session")

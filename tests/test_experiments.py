@@ -22,7 +22,13 @@ def test_table2_structure(spark):
         assert t >= 1 and c > 0 and r > 0
 
 
-def test_run_modis_reports_true_measures(house_ctx):
+def test_run_modis_reports_true_measures(house_ctx, monkeypatch):
+    results = []
+    search = common.MODIS_ALGOS["BiMODis"]
+    monkeypatch.setitem(
+        common.MODIS_ALGOS, "BiMODis",
+        lambda ctx, kw: results.append(search(ctx, kw)) or results[-1],
+    )
     row = run_modis(
         house_ctx,
         "BiMODis",
@@ -32,8 +38,13 @@ def test_run_modis_reports_true_measures(house_ctx):
     )
     assert isinstance(row, MethodRow)
     assert 0 <= row.raw["f1"] <= 1
-    assert row.n_rows > 0 and row.n_cols >= 2
     assert "skyline_size" in row.extra
+    # The reported member is the first skyline entry with the best true
+    # f1; its output size is the shape of its materialized table.
+    best, _ = max(results[0].skyline, key=lambda e: house_ctx.tests[e[0]].raw["f1"])
+    assert row.raw == house_ctx.tests[best].raw
+    assert (row.n_rows, row.n_cols) == house_ctx.materialize(best).shape
+    assert row.n_rows > 0 and row.n_cols >= 2
 
 
 def test_empty_skyline_raises_named_error(movie_ctx_true):
