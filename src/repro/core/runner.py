@@ -78,7 +78,6 @@ class SearchContext:
     estimator: MOGBMEstimator | None = None
     tests: dict[Bits, PerfVector] = field(default_factory=dict)
     est_cache: dict[Bits, tuple] = field(default_factory=dict)
-    n_valuations: int = 0  # estimator + true-model valuations performed
     base_attrs: list[str] = field(default_factory=list)
     encoded: object = field(init=False, repr=False)  # task.encode(D_U)
     # Worker pool of the current batch phase, and raw measures the
@@ -152,7 +151,6 @@ class SearchContext:
             raw = self.evaluate_state(bits)
         pv = PerfVector.from_raw(raw, self.measures)
         self.tests[bits] = pv
-        self.n_valuations += 1
         return pv
 
     def true_eval_many(self, bits_list: list[Bits]) -> list[PerfVector]:
@@ -209,7 +207,6 @@ class SearchContext:
             if bits not in self.est_cache:
                 v = self.estimator.predict(state_features(self.layout, bits))
                 self.est_cache[bits] = tuple(float(x) for x in np.atleast_1d(v))
-                self.n_valuations += 1
             return self.est_cache[bits]
         return self.true_eval(bits).vector(self.measures)
 

@@ -1,21 +1,5 @@
-"""Experiment harnesses, one module per evaluation table.
-
-Each ``run_*`` function returns a plain dict-of-rows structure that the
-``jobs/`` entrypoints print in the paper's table shape and that
-``benchmarks/`` time; EXPERIMENTS.md records paper-vs-measured values.
+"""Experiment harnesses: ``tables`` holds one spec per task and runs the
+paper's Tables 2, 4, 5 and 6 from them; ``common`` holds the per-method
+plumbing (``run_modis``, true evaluation of outputs, table layout).
+EXPERIMENTS.md records paper-vs-measured values.
 """
-from repro.experiments.common import MethodRow, run_modis, evaluate_output
-from repro.experiments.table2 import run_table2
-from repro.experiments.table4 import run_table4
-from repro.experiments.table5 import run_table5
-from repro.experiments.table6 import run_table6
-
-__all__ = [
-    "MethodRow",
-    "run_modis",
-    "evaluate_output",
-    "run_table2",
-    "run_table4",
-    "run_table5",
-    "run_table6",
-]

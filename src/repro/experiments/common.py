@@ -9,7 +9,6 @@ estimator predictions.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import pandas as pd
@@ -89,12 +88,6 @@ def evaluate_output(name: str, pdf: pd.DataFrame, task, wall: float) -> MethodRo
         n_cols=len(pdf.columns),
         wall_time=wall,
     )
-
-
-def timed_call(fn, *args, **kwargs):
-    t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
-    return out, time.perf_counter() - t0
 
 
 def format_table(

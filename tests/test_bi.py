@@ -133,15 +133,10 @@ def test_nobi_name_and_budget(house_ctx):
 
 
 def test_pruning_never_valuates_more(house_ctx):
-    n0 = house_ctx.n_valuations
-    bi_modis(house_ctx, N=120, eps=0.3, max_level=4, prune=True)
-    with_prune = house_ctx.n_valuations - n0
-    n1 = house_ctx.n_valuations
-    bi_modis(house_ctx, N=120, eps=0.3, max_level=4, prune=False)
-    without = house_ctx.n_valuations - n1
-    # pruned states are skipped without valuation, and both runs share
-    # the same caches, so the pruned run cannot valuate more.
-    assert with_prune <= without + 120
+    with_prune = bi_modis(house_ctx, N=120, eps=0.3, max_level=4, prune=True)
+    without = bi_modis(house_ctx, N=120, eps=0.3, max_level=4, prune=False)
+    # A pruned child counts towards N but is seen, not spawned (valuated).
+    assert with_prune.n_spawned <= without.n_spawned
 
 
 def test_pruning_saves_valuations_fresh_contexts(spark, house_small):
@@ -157,9 +152,9 @@ def test_pruning_saves_valuations_fresh_contexts(spark, house_small):
         ctx = SearchContext.build(
             spark, lake, task, measures, max_k=8, n_seed=6, seed=0
         )
-        n0 = ctx.n_valuations
-        bi_modis(ctx, N=150, eps=0.2, max_level=5, prune=prune)
-        runs[prune] = ctx.n_valuations - n0
+        runs[prune] = bi_modis(
+            ctx, N=150, eps=0.2, max_level=5, prune=prune
+        ).n_spawned
     assert runs[True] <= runs[False]
 
 

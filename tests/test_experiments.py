@@ -2,23 +2,35 @@
 structure at test scale."""
 import dataclasses
 import importlib
+import json
 from pathlib import Path
 
 import pytest
 
 import repro.experiments.common as common
 from repro.core.apx import apx_modis
+from repro.experiments import tables
 from repro.experiments.common import MethodRow, format_table, run_modis
-from repro.experiments.table2 import run_table2
-from repro.experiments.table4 import T2_MEASURES, run_comparison
-from repro.experiments.table5 import T5_MEASURES, run_table5
-from repro.lake.tasks import house_lake
+from repro.experiments.tables import (
+    TABLES,
+    TASKS,
+    modis_beats_original,
+    run_task,
+)
+
+SMALL = {"N": 50, "eps": 0.2, "max_level": 3, "n_seed": 4}
 
 
-def test_table2_structure(spark):
-    out = run_table2(spark, scale=0.05)
-    assert len(out) == 3
-    for name, (t, c, r) in out.items():
+def test_table2_structure(spark, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(TABLES, "table2", tuple(
+        dataclasses.replace(t, scale=0.05) for t in TABLES["table2"]
+    ))
+    assert tables.main(spark, "table2") == 0
+    out = json.loads((tmp_path / "results" / "table2.json").read_text())
+    assert [t["spec"]["name"] for t in out["tasks"]] == list(TASKS)
+    for entry in out["tasks"]:
+        t, c, r = entry["lake"]
         assert t >= 1 and c > 0 and r > 0
 
 
@@ -79,17 +91,11 @@ def test_perfbench_patch_targets_exist(monkeypatch):
 
 
 def test_run_comparison_subset(spark):
-    rows = run_comparison(
-        spark,
-        house_lake,
-        scale=0.25,
-        select_key="f1",
-        maximize=True,
-        metam_utility="p_F1",
-        search_kw={"N": 60, "eps": 0.2, "max_level": 3},
-        n_seed=4,
+    spec = dataclasses.replace(
+        TASKS["T2_house"], scale=0.25, **SMALL,
         methods=("Original", "SkSFM", "BiMODis"),
     )
+    rows = run_task(spark, spec)
     assert [r.method for r in rows] == ["Original", "SkSFM", "BiMODis"]
     for r in rows:
         assert "acc" in r.raw
@@ -108,25 +114,41 @@ def test_format_table_layout():
     assert "(10, 3)" in lines[3]
 
 
-def test_table5_structure(spark):
-    rows = run_table5(
-        spark,
-        scale=0.5,
-        search_kw={"N": 50, "eps": 0.2, "max_level": 3},
-        n_seed=4,
-    )
-    assert [r.method for r in rows] == [
+def test_table5_structure(spark, tmp_path, monkeypatch):
+    """main runs a table's specs and writes each row, with the spec,
+    to results/<table>.json."""
+    spec = dataclasses.replace(TASKS["T5_graph"], scale=0.5, **SMALL)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(TABLES, "table5", (spec,))
+    assert tables.main(spark, "table5") == 0
+    out = json.loads((tmp_path / "results" / "table5.json").read_text())
+    (entry,) = out["tasks"]
+    assert entry["spec"]["N"] == 50 and entry["spec"]["lake"] == "graph_lake"
+    assert [r["method"] for r in entry["rows"]] == [
         "Original",
         "ApxMODis",
         "NOBiMODis",
         "BiMODis",
         "DivMODis",
     ]
-    for r in rows:
-        for _, key in T5_MEASURES:
-            assert key in r.raw
+    for r in entry["rows"]:
+        for _, key in spec.measures:
+            assert key in r["raw"]
+        assert r["n_rows"] > 0 and r["n_cols"] > 0
+
+
+def test_modis_beats_original_follows_direction():
+    """The exit status of a table compares the selection key in the
+    task's direction: T3 minimizes MSE."""
+    rows = [
+        MethodRow("Original", {"mse": 1.0}, 10, 3, 0.0),
+        MethodRow("BiMODis", {"mse": 2.0}, 10, 3, 0.0),
+    ]
+    assert not modis_beats_original(TASKS["T3_avocado"], rows)
+    rows[1].raw["mse"] = 0.5
+    assert modis_beats_original(TASKS["T3_avocado"], rows)
 
 
 def test_t2_measure_catalogue_keys():
-    keys = [k for _, k in T2_MEASURES]
+    keys = [k for _, k in TASKS["T2_house"].measures]
     assert keys == ["f1", "acc", "train_time", "fisher", "mi"]

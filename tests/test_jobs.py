@@ -1,6 +1,7 @@
-"""Jobs: each spark-submit entrypoint imports cleanly and exposes main."""
+"""Jobs: the spark-submit entrypoint and its session helper."""
 import importlib.util
 import pathlib
+import sys
 
 import pytest
 
@@ -10,8 +11,6 @@ JOBS = pathlib.Path(__file__).resolve().parent.parent / "jobs"
 def _load(name):
     spec = importlib.util.spec_from_file_location(name, JOBS / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
-    import sys
-
     sys.path.insert(0, str(JOBS))
     try:
         spec.loader.exec_module(mod)
@@ -20,13 +19,31 @@ def _load(name):
     return mod
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["table2_datasets", "table4_t2_t4", "table5_t5", "table6_t1_t3"],
-)
-def test_job_importable_with_main(name):
-    mod = _load(name)
-    assert callable(mod.main)
+@pytest.mark.parametrize("table", ["table2", "table4", "table5", "table6"])
+def test_job_importable_with_main(table, monkeypatch):
+    """jobs/tables.py runs the named table on a session it stops, and
+    exits with the table's status."""
+    mod = _load("tables")
+    calls = []
+
+    class FakeSpark:
+        def stop(self):
+            calls.append("stop")
+
+    monkeypatch.setattr(mod, "get_spark", FakeSpark)
+    monkeypatch.setattr(
+        mod.tables, "main", lambda spark, name: calls.append(name) or 0
+    )
+    monkeypatch.setattr(sys, "argv", ["tables.py", table])
+    assert mod.main() == 0
+    assert calls == [table, "stop"]
+
+
+def test_job_rejects_unknown_table(monkeypatch):
+    mod = _load("tables")
+    monkeypatch.setattr(sys, "argv", ["tables.py", "table3"])
+    with pytest.raises(SystemExit, match="usage"):
+        mod.main()
 
 
 def test_session_helper_returns_running_spark(spark):
