@@ -36,7 +36,9 @@ from repro.lake.tasks import avocado_lake, house_lake, mental_lake, movie_lake
 # Each baseline's single output table, from the spec, lake and context.
 BASELINES: dict[str, Callable] = {
     "METAM": lambda spec, lake, ctx: metam(
-        lake, ctx.task, ctx.measures, utility_measure=spec.metam_utility
+        lake, ctx.task, ctx.measures, utility_measure=next(
+            m.name for m in ctx.measures if m.raw_key == spec.select_key
+        ),
     ),
     "METAM-MO": lambda spec, lake, ctx: metam_mo(lake, ctx.task, ctx.measures),
     "Starmie": lambda spec, lake, ctx: starmie(lake, ctx.task),
@@ -54,9 +56,8 @@ class TaskSpec:
     name: str
     lake: Callable  # (spark, scale) -> (lake, task, measures)
     scale: float
-    select_key: str  # raw measure that picks a MODis method's output
+    select_key: str  # raw measure that picks a MODis output; METAM optimizes it
     maximize: bool
-    metam_utility: str | None  # the measure METAM optimizes
     measures: tuple[tuple[str, str], ...]  # printed rows: (label, raw key)
     N: int = 400
     eps: float = 0.1
@@ -71,26 +72,26 @@ TASKS = {
     spec.name: spec
     for spec in (
         TaskSpec(
-            "T1_movie", movie_lake, 1.0, "acc", True, "p_Acc",
+            "T1_movie", movie_lake, 1.0, "acc", True,
             (("p_Acc", "acc"), ("p_Train", "train_time"),
              ("p_Fsc", "fisher"), ("p_MI", "mi")),
         ),
         TaskSpec(
-            "T2_house", house_lake, 1.0, "f1", True, "p_F1",
+            "T2_house", house_lake, 1.0, "f1", True,
             (("p_F1", "f1"), ("p_Acc", "acc"), ("p_Train", "train_time"),
              ("p_Fsc", "fisher"), ("p_MI", "mi")),
         ),
         TaskSpec(
-            "T3_avocado", avocado_lake, 0.5, "mse", False, "p_MSE",
+            "T3_avocado", avocado_lake, 0.5, "mse", False,
             (("MSE", "mse"), ("MAE", "mae"), ("Training Time", "train_time")),
         ),
         TaskSpec(
-            "T4_mental", mental_lake, 0.5, "acc", True, "p_Acc",
+            "T4_mental", mental_lake, 0.5, "acc", True,
             (("p_Acc", "acc"), ("p_Pc", "precision"), ("p_Rc", "recall"),
              ("p_F1", "f1"), ("p_AUC", "auc"), ("p_Train", "train_time")),
         ),
         TaskSpec(
-            "T5_graph", graph_lake, 1.0, "pc5", True, None,
+            "T5_graph", graph_lake, 1.0, "pc5", True,
             (("p_Pc5", "pc5"), ("p_Pc10", "pc10"), ("p_Rc5", "rc5"),
              ("p_Rc10", "rc10"), ("p_Nc5", "nc5"), ("p_Nc10", "nc10")),
             N=250, n_seed=10, methods=("Original", *MODIS_ALGOS),

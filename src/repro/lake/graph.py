@@ -23,7 +23,7 @@ on ``i``) with the user/item feature tables — carried as
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -58,7 +58,6 @@ class GraphTask:
     key: str = "edge_id"
     target: str = "present"
     kind: str = RANKING
-    measures: list[Measure] = field(default_factory=list)
     beta: float = 0.6  # weight of the bilinear feature score
 
     def protected_cols(self) -> set[str]:
@@ -211,6 +210,5 @@ def graph_lake(
         test_relevant=test_rel,
         user_feats=user_feats,
         item_feats=item_feats,
-        measures=measures,
     )
     return lake, task, measures

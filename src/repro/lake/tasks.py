@@ -3,7 +3,10 @@
 Each ``*_lake`` factory returns ``(Lake, TabularTask, measures)`` sized
 by a ``scale`` factor: scale=1.0 matches the paper's universal-table
 orders of magnitude (Table 4/6 "Output Size" row); tests use
-scale≈0.1–0.3.
+scale≈0.1–0.3. Each task's ``time_unit`` prices p_Train for its
+default model: the median wall-clock fit seconds per (training row ×
+feature column) of that model on its lake, at the scale its table runs,
+measured on a 4-vCPU x86_64 VM.
 
 Lake anatomy (see DESIGN.md "Dataset substitutions"):
 
@@ -160,7 +163,7 @@ def movie_lake(spark: SparkSession, scale: float = 1.0, seed: int = 11):
         model_factory=lambda: GradientBoostingRegressor(
             n_estimators=25, max_depth=3
         ),
-        time_unit=None,
+        time_unit=3.5e-6,
         tol=0.25,
         tol_scale=float(base_pdf["target"].std()),
     )
@@ -170,7 +173,6 @@ def movie_lake(spark: SparkSession, scale: float = 1.0, seed: int = 11):
         ms.p_fsc(),
         ms.p_mi(),
     ]
-    task.measures = measures
     return lake, task, measures
 
 
@@ -202,6 +204,7 @@ def house_lake(spark: SparkSession, scale: float = 1.0, seed: int = 22):
         model_factory=lambda: RandomForestClassifier(
             n_estimators=20, max_depth=8, seed=7
         ),
+        time_unit=5.1e-5,
     )
     measures = [
         ms.p_f1(),
@@ -210,7 +213,6 @@ def house_lake(spark: SparkSession, scale: float = 1.0, seed: int = 22):
         ms.p_fsc(),
         ms.p_mi(),
     ]
-    task.measures = measures
     return lake, task, measures
 
 
@@ -235,6 +237,7 @@ def avocado_lake(spark: SparkSession, scale: float = 1.0, seed: int = 33):
         target="target",
         key="key",
         model_factory=lambda: LinearRegression(l2=1e-4),
+        time_unit=1e-8,
         tol=0.25,
         tol_scale=float(base_pdf["target"].std()),
     )
@@ -243,7 +246,6 @@ def avocado_lake(spark: SparkSession, scale: float = 1.0, seed: int = 33):
         ms.p_mae(ref=5.0),
         ms.p_train(ref_seconds=0.05),
     ]
-    task.measures = measures
     return lake, task, measures
 
 
@@ -273,6 +275,7 @@ def mental_lake(spark: SparkSession, scale: float = 1.0, seed: int = 44):
         target="target",
         key="key",
         model_factory=lambda: LightGBMClassifier(n_estimators=50, max_depth=4),
+        time_unit=1.2e-5,
     )
     measures = [
         ms.p_acc(),
@@ -282,5 +285,4 @@ def mental_lake(spark: SparkSession, scale: float = 1.0, seed: int = 44):
         ms.p_auc(),
         ms.p_train(ref_seconds=5.0),
     ]
-    task.measures = measures
     return lake, task, measures

@@ -3,8 +3,7 @@
 The paper (§6, "Construction of D_U and Operators") clusters each
 attribute's active domain with k-means (max k = 30) and derives one
 equality literal per cluster. ``kmeans_1d`` handles that per-attribute
-case; ``kmeans`` is the k-D variant used by the scalability sweep
-(Exp-3, clustering universal-table tuples to control |adom|).
+case on top of the general ``kmeans``.
 """
 from __future__ import annotations
 

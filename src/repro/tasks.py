@@ -6,13 +6,12 @@ A :class:`TabularTask` owns featurization (ordinal-encode categoricals,
 median-impute numerics — the null-fill required after the paper's
 outer-join Augment), a deterministic key-hash train/test split (so every
 candidate dataset is scored on a consistent holdout), and a training-time
-measure. Wall-clock time is noisy at millisecond scale, so a
-deterministic cost model (``rows·cols·time_unit``) can replace the
-``perf_counter`` time of the fit. With ``time_unit=None`` the measure is
-that wall time, taken while sibling fits of the same batch run in other
-worker processes (``SearchContext.true_eval_many``), so it also follows
-their contention for the CPUs. The model factory must build a *fixed
-deterministic* model (paper §2) — all our numpy models are seeded.
+measure. Training time (p_Train) is a work count, ``time_unit ·
+training rows · feature columns``, not the wall time of the fit: a
+millisecond fit's wall time is noise, and a measure in the search
+objective must give the same state the same value on every run. The
+model factory must build a *fixed deterministic* model (paper §2) — all
+our numpy models are seeded.
 
 Evaluation runs on arrays. :meth:`TabularTask.encode` turns a frame into
 an :class:`Encoded` float matrix once; :meth:`TabularTask.evaluate_encoded`
@@ -22,8 +21,7 @@ scores a whole frame the same way.
 """
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -98,9 +96,8 @@ class TabularTask:
     target: str
     key: str  # join/id column: never reduced, never a feature
     model_factory: Callable[[], object]
-    measures: list = field(default_factory=list)
+    time_unit: float  # p_Train seconds per (training row · feature column)
     test_mod: int = 5  # key % test_mod == 0 -> test row
-    time_unit: float | None = None  # deterministic sec/(row·col); None = wall
     tol: float = 0.25  # tolerance-accuracy band for regression p_Acc
     tol_scale: float | None = None  # fixed band scale (base target std)
 
@@ -166,18 +163,11 @@ class TabularTask:
         Xte = _featurize(X[test])
         yte = enc.y[test_rows]
         model = self.model_factory()
-        t0 = time.perf_counter()
         model.fit(Xtr, ytr)
-        wall = time.perf_counter() - t0
-        train_time = (
-            self.time_unit * n_rows * max(1, n_cols)
-            if self.time_unit is not None
-            else wall
-        )
         Xall = _featurize(X)
         yall = enc.y[rows]
         raw: dict[str, float] = {
-            "train_time": float(train_time),
+            "train_time": self.time_unit * n_rows * max(1, n_cols),
             "fisher": mx.fisher_score(Xall, yall),
             "mi": mx.mutual_information(Xall, yall),
             "n_rows": float(len(rows)),

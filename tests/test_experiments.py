@@ -101,6 +101,20 @@ def test_run_comparison_subset(spark):
         assert "acc" in r.raw
 
 
+def test_run_task_is_deterministic(spark):
+    """Two runs of one spec give the same rows, p_Train included; only
+    the methods' own wall time may differ."""
+    spec = dataclasses.replace(
+        TASKS["T2_house"], scale=0.1, **SMALL,
+        methods=("Original", "SkSFM", "BiMODis"),
+    )
+    first, second = (
+        [dataclasses.replace(r, wall_time=0.0) for r in run_task(spark, spec)]
+        for _ in range(2)
+    )
+    assert first == second
+
+
 def test_format_table_layout():
     rows = [
         MethodRow("A", {"f1": 0.5, "acc": 0.6}, 10, 3, 1.0),

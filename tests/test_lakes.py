@@ -17,6 +17,7 @@ LAKES = [
 def test_lake_schema_and_task(spark, lake_fn, kind):
     lake, task, measures = lake_fn(spark, scale=0.1)
     assert task.kind == kind
+    assert isinstance(task.time_unit, float) and task.time_unit > 0
     base_cols = lake.base.columns
     assert lake.key in base_cols and lake.target in base_cols
     assert "grp" in base_cols

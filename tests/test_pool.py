@@ -3,10 +3,9 @@
 The pooled path must write the same T as one ``true_eval`` after
 another: the same states in the same insertion order with equal raw
 measures, hence the same skylines and spawn counts. Every comparison
-here uses ``==`` on raw dicts and vectors, with a fixed ``time_unit`` so
-that p_Train is a work count. The serial path is forced by reporting one
-usable CPU; ``tests/conftest.py`` fails any test that leaves a worker
-process running.
+here uses ``==`` on raw dicts and vectors. The serial path is forced by
+reporting one usable CPU; ``tests/conftest.py`` fails any test that
+leaves a worker process running.
 """
 import dataclasses
 import multiprocessing
@@ -49,8 +48,8 @@ def set_cpus(monkeypatch, n: int) -> None:
 
 
 def fresh(ctx: SearchContext, **task_kw) -> SearchContext:
-    """An estimator-free copy with an empty T and p_Train = 1e-6·rows·cols."""
-    task = dataclasses.replace(ctx.task, time_unit=1e-6, **task_kw)
+    """An estimator-free copy with an empty T."""
+    task = dataclasses.replace(ctx.task, **task_kw)
     return dataclasses.replace(ctx, task=task, tests={}, est_cache={}, estimator=None)
 
 

@@ -43,15 +43,9 @@ def test_true_eval_cached(house_ctx):
 def test_true_eval_matches_materialized_frame(request, name):
     """Every T entry of a short exact search, evaluated from encoded D_U
     by row and column indices, equals the evaluation of the state's
-    materialized frame, bit for bit (with a deterministic p_Train)."""
+    materialized frame, bit for bit."""
     shared = request.getfixturevalue(name)
-    ctx = dataclasses.replace(
-        shared,
-        task=dataclasses.replace(shared.task, time_unit=1e-6),
-        tests={},
-        est_cache={},
-        estimator=None,
-    )
+    ctx = dataclasses.replace(shared, tests={}, est_cache={}, estimator=None)
     apx_modis(ctx, N=20, eps=0.2, max_level=3)
     assert len(ctx.tests) == 20
     for bits, pv in ctx.tests.items():

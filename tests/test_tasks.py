@@ -18,14 +18,14 @@ from repro.tasks import CLASSIFICATION, REGRESSION, TabularTask, _encode, _featu
 PATHS = ("frame", "state")
 
 
-def _mk_task(kind=CLASSIFICATION, time_unit=None):
+def _mk_task(kind=CLASSIFICATION):
     return TabularTask(
         name="t",
         kind=kind,
         target="target",
         key="key",
         model_factory=lambda: RandomForestClassifier(n_estimators=5, seed=0),
-        time_unit=time_unit,
+        time_unit=1e-6,
     )
 
 
@@ -110,6 +110,7 @@ def test_evaluate_regression_keys():
         model_factory=lambda: __import__(
             "repro.ml.linear", fromlist=["LinearRegression"]
         ).LinearRegression(),
+        time_unit=1e-6,
     )
     pdf = _pdf()
     pdf["target"] = pdf["x"] * 2.0
@@ -195,18 +196,13 @@ def test_state_path_matches_frame_with_categories():
 
 
 def test_deterministic_time_unit():
-    task = _mk_task(time_unit=1e-6)
+    task = _mk_task()
     pdf = _pdf()
     r1 = task.evaluate(pdf)
     r2 = task.evaluate(pdf)
     assert r1["train_time"] == r2["train_time"]
     n_train = len(task.split(pdf.dropna(subset=["target"]))[0])
     assert r1["train_time"] == pytest.approx(1e-6 * n_train * 3)
-
-
-def test_wall_time_positive_without_unit():
-    raw = _mk_task(time_unit=None).evaluate(_pdf())
-    assert raw["train_time"] > 0
 
 
 @pytest.mark.parametrize("path", PATHS)
