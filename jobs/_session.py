@@ -1,8 +1,11 @@
 """Shared SparkSession bootstrap for spark-submit entrypoints.
 
 When launched via ``spark-submit jobs/<name>.py`` the session already
-exists; when launched via plain ``python`` this builds the same local
-session the conftest fixture uses.
+exists; when launched via plain ``python`` this builds a local session
+like the conftest fixture's. Shuffles get one partition per core
+(``defaultParallelism``, the n of ``local[n]``): D_U is a chain of full
+outer joins over some thousand rows, each join shuffles again, and more
+partitions than cores only add tasks.
 """
 from __future__ import annotations
 
@@ -20,10 +23,10 @@ def get_spark():
 
     s = (
         SparkSession.builder.appName("repro-job")
-        .config("spark.sql.shuffle.partitions", "32")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
     s.sparkContext.setLogLevel("ERROR")
+    s.conf.set("spark.sql.shuffle.partitions", s.sparkContext.defaultParallelism)
     return s

@@ -34,7 +34,7 @@ def _greedy_join(
     current = lake.base
     current_pdf = current.toPandas()
     best_u = _utility(
-        PerfVector.from_raw(task.evaluate(current_pdf), measures),
+        PerfVector.from_raw(task.evaluate(current_pdf, measures), measures),
         measures,
         weights,
     )
@@ -46,7 +46,9 @@ def _greedy_join(
         best_cand = None
         for name, src in remaining.items():
             cand = current.join(src, on=lake.key, how="left_outer")
-            pv = PerfVector.from_raw(task.evaluate(cand.toPandas()), measures)
+            pv = PerfVector.from_raw(
+                task.evaluate(cand.toPandas(), measures), measures
+            )
             u = _utility(pv, measures, weights)
             if u < best_u - 1e-9:
                 best_u, best_cand = u, (name, cand)

@@ -134,11 +134,13 @@ class SearchContext:
     # -- valuation -------------------------------------------------------
     def evaluate_state(self, bits: Bits) -> dict[str, float]:
         """Raw measures of the actual model M trained on the state's
-        dataset: the rows and columns of encoded D_U the bitmap retains."""
+        dataset: the rows and columns of encoded D_U the bitmap retains,
+        scored on what the measure set P reads."""
         return self.task.evaluate_encoded(
             self.encoded,
             self.layout.row_mask(bits),
             self.layout.active_columns(bits),
+            self.measures,
         )
 
     def true_eval(self, bits: Bits) -> PerfVector:

@@ -17,6 +17,7 @@ from repro.core.apx import apx_modis
 from repro.core.bi import bi_modis
 from repro.core.div import div_modis
 from repro.core.runner import SearchContext, SearchResult
+from repro.measures import Measure
 
 
 @dataclass
@@ -78,9 +79,12 @@ def run_modis(
     )
 
 
-def evaluate_output(name: str, pdf: pd.DataFrame, task, wall: float) -> MethodRow:
-    """True-model evaluation of a baseline's single output table."""
-    raw = task.evaluate(pdf)
+def evaluate_output(
+    name: str, pdf: pd.DataFrame, task, measures: list[Measure], wall: float
+) -> MethodRow:
+    """True-model evaluation of a baseline's single output table, on
+    what the measure set P reads (the keys of a MODis row)."""
+    raw = task.evaluate(pdf, measures)
     return MethodRow(
         method=name,
         raw=raw,

@@ -12,6 +12,7 @@ Table 5 compares Original with the MODis algorithms only.
 """
 from __future__ import annotations
 
+import copy
 import json
 import platform
 import time
@@ -108,7 +109,10 @@ TABLES = {
 
 
 def run_task(spark: SparkSession, spec: TaskSpec) -> list[MethodRow]:
-    """One row per method of ``spec``, in its order, all on one context."""
+    """One row per method of ``spec``, in its order. The context is
+    seeded once, and each MODis method searches its own deep copy of it,
+    so no method starts from the T or estimator another one left and a
+    row does not depend on the order of ``spec.methods``."""
     lake, task, measures = spec.lake(spark, scale=spec.scale)
     ctx = SearchContext.build(spark, lake, task, measures, n_seed=spec.n_seed)
     search_kw = {"N": spec.N, "eps": spec.eps, "max_level": spec.max_level}
@@ -125,13 +129,15 @@ def run_task(spark: SparkSession, spec: TaskSpec) -> list[MethodRow]:
             ))
         elif m in MODIS_ALGOS:
             rows.append(run_modis(
-                ctx, m, select_key=spec.select_key, maximize=spec.maximize,
-                search_kw=search_kw,
+                copy.deepcopy(ctx), m, select_key=spec.select_key,
+                maximize=spec.maximize, search_kw=search_kw,
             ))
         else:
             t0 = time.perf_counter()
             out = BASELINES[m](spec, lake, ctx)
-            rows.append(evaluate_output(m, out, task, time.perf_counter() - t0))
+            rows.append(evaluate_output(
+                m, out, task, measures, time.perf_counter() - t0
+            ))
     return rows
 
 

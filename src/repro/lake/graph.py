@@ -72,11 +72,17 @@ class GraphTask:
         return pdf
 
     def evaluate_encoded(
-        self, pdf: pd.DataFrame, mask: np.ndarray, cols: list[str]
+        self, pdf: pd.DataFrame, mask: np.ndarray, cols: list[str],
+        measures: list[Measure],
     ) -> dict[str, float]:
-        return self.evaluate(pdf.loc[mask, self.keep_cols() + cols])
+        return self.evaluate(pdf.loc[mask, self.keep_cols() + cols], measures)
 
-    def evaluate(self, pdf: pd.DataFrame) -> dict[str, float]:
+    def evaluate(
+        self, pdf: pd.DataFrame, measures: list[Measure]
+    ) -> dict[str, float]:
+        """Raw ranking measures of M on the edge frame. Every measure of
+        P5 reads one of them and all come from one ranking, so the
+        measure set selects nothing here."""
         uf_cols = [c for c in pdf.columns if c.startswith("uf_")]
         if_cols = [c for c in pdf.columns if c.startswith("if_")]
         edges = pdf[["u", "i"]].dropna().astype(int).to_numpy()

@@ -18,6 +18,13 @@ an :class:`Encoded` float matrix once; :meth:`TabularTask.evaluate_encoded`
 scores any rows × columns of it. A search state is such a subset of the
 encoded D_U (paper §5.1: a bitmap over D_U); :meth:`TabularTask.evaluate`
 scores a whole frame the same way.
+
+Both take the measure set P (paper §2 "Model Evaluation": the user
+defines P). The model's scores come from one ``predict``, and training
+cost and output size are free, so those are always returned; the data
+statistics Fisher score and mutual information, and the all-rows
+imputation that feeds them, are computed only when a measure of P reads
+them (``fisher`` / ``mi``).
 """
 from __future__ import annotations
 
@@ -27,6 +34,7 @@ from typing import Callable
 import numpy as np
 import pandas as pd
 
+from repro.measures import Measure
 from repro.ml import metrics as mx
 
 CLASSIFICATION = "classification"
@@ -128,23 +136,32 @@ class TabularTask:
             is_test=self._is_test(pdf).to_numpy(),
         )
 
-    def evaluate(self, pdf: pd.DataFrame) -> dict[str, float]:
+    def evaluate(
+        self, pdf: pd.DataFrame, measures: list[Measure]
+    ) -> dict[str, float]:
         """Raw measures of M on the frame's rows that have a target."""
         enc = self.encode(pdf)
-        return self.evaluate_encoded(enc, np.ones(len(pdf), dtype=bool), enc.cols)
+        return self.evaluate_encoded(
+            enc, np.ones(len(pdf), dtype=bool), enc.cols, measures
+        )
 
     def evaluate_encoded(
-        self, enc: Encoded, mask: np.ndarray, cols: list[str]
+        self, enc: Encoded, mask: np.ndarray, cols: list[str],
+        measures: list[Measure],
     ) -> dict[str, float]:
         """Train M on the rows of ``enc`` that ``mask`` keeps and that
         have a target, with features ``cols``; return raw measures.
 
-        Categorical codes are ranked within those rows; NaNs are imputed
-        per split (train, test, and all rows for Fisher/MI). Degenerate
+        The dict always holds the model's scores, ``train_time``,
+        ``n_rows`` and ``n_cols``; it holds ``fisher`` and ``mi`` only
+        when a measure of ``measures`` reads them. Categorical codes are
+        ranked within those rows; NaNs are imputed per split (train,
+        test, and all rows when Fisher or MI is read). Degenerate
         candidates (too few rows, a single class, no features) get
         pessimal scores instead of raising, so the search can valuate any
         state the operators produce.
         """
+        stats = {m.raw_key for m in measures} & {"fisher", "mi"}
         rows = np.flatnonzero(mask & enc.target_ok)
         idx = [enc.cols.index(c) for c in cols]
         test = enc.is_test[rows]
@@ -155,7 +172,7 @@ class TabularTask:
         if self.kind == CLASSIFICATION and not degenerate:
             degenerate = len(np.unique(ytr)) < 2
         if degenerate:
-            return self._worst(len(rows), n_cols)
+            return self._worst(len(rows), n_cols, stats)
 
         X = enc.X[np.ix_(rows, idx)]
         _rank_codes(X, enc.cat[idx])
@@ -164,15 +181,18 @@ class TabularTask:
         yte = enc.y[test_rows]
         model = self.model_factory()
         model.fit(Xtr, ytr)
-        Xall = _featurize(X)
-        yall = enc.y[rows]
         raw: dict[str, float] = {
             "train_time": self.time_unit * n_rows * max(1, n_cols),
-            "fisher": mx.fisher_score(Xall, yall),
-            "mi": mx.mutual_information(Xall, yall),
             "n_rows": float(len(rows)),
             "n_cols": float(n_cols),
         }
+        if stats:
+            Xall = _featurize(X)
+            yall = enc.y[rows]
+            if "fisher" in stats:
+                raw["fisher"] = mx.fisher_score(Xall, yall)
+            if "mi" in stats:
+                raw["mi"] = mx.mutual_information(Xall, yall)
         if self.kind == CLASSIFICATION:
             pred = model.predict(Xte)
             raw["acc"] = mx.accuracy(yte, pred)
@@ -197,18 +217,21 @@ class TabularTask:
             )
         return raw
 
-    def _worst(self, n_rows: int, n_cols: int) -> dict:
+    def _worst(self, n_rows: int, n_cols: int, stats: set[str]) -> dict:
+        """Raw measures of a degenerate state, with the keys of the main
+        path. Each normalizes to 1.0, the pessimal value: scores at their
+        worst, errors and training cost at ``big``, far above every
+        reference of the measure catalogue."""
+        big = 1e6
         raw = {
-            "train_time": 0.0,
-            "fisher": 0.0,
-            "mi": 0.0,
+            "train_time": big,
             "n_rows": float(n_rows),
             "n_cols": float(n_cols),
             "acc": 0.0,
         }
+        raw.update(dict.fromkeys(stats, 0.0))
         if self.kind == CLASSIFICATION:
-            raw.update(precision=0.0, recall=0.0, f1=0.0, auc=0.5)
+            raw.update(precision=0.0, recall=0.0, f1=0.0, auc=0.0)
         else:
-            big = 1e6
             raw.update(mse=big, mae=big, rmse=big, r2=-1.0)
         return raw

@@ -24,10 +24,10 @@ def test_metam_output_contains_base_schema(hsetup):
 def test_metam_never_worse_than_base_on_utility(hsetup):
     lake, task, measures, _u = hsetup
     base_pv = PerfVector.from_raw(
-        task.evaluate(lake.base.toPandas()), measures
+        task.evaluate(lake.base.toPandas(), measures), measures
     )
     out = metam(lake, task, measures, utility_measure="p_F1")
-    out_pv = PerfVector.from_raw(task.evaluate(out), measures)
+    out_pv = PerfVector.from_raw(task.evaluate(out, measures), measures)
     assert out_pv.norm["p_F1"] <= base_pv.norm["p_F1"] + 1e-9
 
 

@@ -102,17 +102,20 @@ def test_run_comparison_subset(spark):
 
 
 def test_run_task_is_deterministic(spark):
-    """Two runs of one spec give the same rows, p_Train included; only
-    the methods' own wall time may differ."""
+    """Two runs of one spec give the same rows, p_Train included, also
+    when the second runs the methods in reverse order: each MODis method
+    searches its own copy of the seeded context. Only the methods' own
+    wall time may differ."""
     spec = dataclasses.replace(
         TASKS["T2_house"], scale=0.1, **SMALL,
-        methods=("Original", "SkSFM", "BiMODis"),
+        methods=("Original", "SkSFM", "ApxMODis", "BiMODis"),
     )
+    reverse = dataclasses.replace(spec, methods=spec.methods[::-1])
     first, second = (
-        [dataclasses.replace(r, wall_time=0.0) for r in run_task(spark, spec)]
-        for _ in range(2)
+        [dataclasses.replace(r, wall_time=0.0) for r in run_task(spark, s)]
+        for s in (spec, reverse)
     )
-    assert first == second
+    assert first == second[::-1]
 
 
 def test_format_table_layout():

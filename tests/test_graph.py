@@ -93,13 +93,13 @@ def test_graph_task_evaluate_full(graph_ctx):
 
 
 def test_graph_task_degenerate_few_edges(graph_small):
-    _l, task, _m = graph_small
+    _l, task, measures = graph_small
     import pandas as pd
 
     pdf = pd.DataFrame(
         {"edge_id": [1, 2], "present": [1.0, 1.0], "u": [0, 1], "i": [0, 1]}
     )
-    raw = task.evaluate(pdf)
+    raw = task.evaluate(pdf, measures)
     assert raw["pc5"] == 0.0
 
 

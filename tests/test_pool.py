@@ -90,6 +90,25 @@ def test_pooled_search_matches_serial(movie_ctx_true, monkeypatch, pools, method
         assert pools == [4]  # one pool for the whole search
 
 
+def test_pooled_search_matches_serial_without_statistics(
+    movie_ctx_true, monkeypatch, pools
+):
+    """With a measure set that has no p_Fsc or p_MI, workers and the
+    serial path score the same states the same way: equal T, and no
+    ``fisher`` or ``mi`` key in it."""
+    measures = [m for m in movie_ctx_true.measures if m.raw_key not in ("fisher", "mi")]
+
+    def run():
+        ctx = dataclasses.replace(fresh(movie_ctx_true), measures=measures)
+        apx_modis(ctx, N=40, eps=0.2, max_level=3)
+        return t_entries(ctx)
+
+    serial, pooled = serial_and_pooled(monkeypatch, run, pools)
+    assert pooled == serial
+    assert pools == [4]
+    assert not any({"fisher", "mi"} & raw.keys() for _, raw in serial)
+
+
 def test_pooled_seeding_and_calibration_match_serial(
     spark, house_small, monkeypatch, pools
 ):

@@ -8,9 +8,13 @@ import pytest
 
 from repro.core.apx import apx_modis
 from repro.core.dominance import dominates, eps_dominates
+from repro.core.operators import reduct_children
 from repro.core.runner import ParetoTable, SearchContext
 from repro.lake.tasks import avocado_lake
-from repro.measures import Measure
+from repro.measures import Measure, PerfVector, p_fsc, p_mi
+from repro.tasks import CLASSIFICATION
+
+STATS = {"fisher", "mi"}  # raw keys of the data statistics p_Fsc and p_MI
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +53,45 @@ def test_true_eval_matches_materialized_frame(request, name):
     apx_modis(ctx, N=20, eps=0.2, max_level=3)
     assert len(ctx.tests) == 20
     for bits, pv in ctx.tests.items():
-        assert pv.raw == ctx.task.evaluate(ctx.materialize(bits))
+        assert pv.raw == ctx.task.evaluate(ctx.materialize(bits), ctx.measures)
+
+
+@pytest.mark.parametrize("name", ["house_ctx", "avocado_ctx_true"])
+def test_unread_statistics_are_not_computed(request, name):
+    """Under a measure set without p_Fsc and p_MI a state's raw dict has
+    no ``fisher`` or ``mi`` key, and every other key equals, bit for bit,
+    its value under the same set with p_Fsc and p_MI added."""
+    ctx = request.getfixturevalue(name)
+    lean = [m for m in ctx.measures if m.raw_key not in STATS]
+    full = ctx.layout.full_bits()
+    states = [full] + [b for b, _ in reduct_children(ctx.layout, full)][:2]
+    for bits in states:
+        args = (ctx.encoded, ctx.layout.row_mask(bits), ctx.layout.active_columns(bits))
+        with_stats = ctx.task.evaluate_encoded(*args, lean + [p_fsc(), p_mi()])
+        without = ctx.task.evaluate_encoded(*args, lean)
+        assert STATS <= with_stats.keys() and not STATS & without.keys()
+        assert without == {k: v for k, v in with_stats.items() if k not in STATS}
+
+
+@pytest.mark.parametrize("name", ["house_ctx", "avocado_ctx_true"])
+def test_degenerate_state_is_pessimal(request, name):
+    """A degenerate state (under 20 training rows, a single class, no
+    feature columns) normalizes to 1.0 on every measure of the task's P,
+    T2's and T3's here, and its raw dict has a trained state's keys."""
+    ctx = request.getfixturevalue(name)
+    enc, task, P = ctx.encoded, ctx.task, ctx.measures
+    rows = np.flatnonzero(enc.target_ok)
+    every = np.ones(len(enc.y), dtype=bool)
+    few = np.zeros_like(every)
+    few[rows[:20]] = True
+    cases = [(few, enc.cols), (every, [])]
+    if task.kind == CLASSIFICATION:
+        cases.append((enc.y == enc.y[rows[0]], enc.cols))
+    keys = ctx.true_eval(ctx.layout.full_bits()).raw.keys()
+    for mask, cols in cases:
+        raw = task.evaluate_encoded(enc, mask, cols, P)
+        assert raw.keys() == keys
+        assert PerfVector.from_raw(raw, P).vector(P) == (1.0,) * len(P)
 
 
 def test_valuate_prefers_true_tests(house_ctx):

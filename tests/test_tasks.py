@@ -1,7 +1,9 @@
 """TabularTask: featurization, deterministic split, degenerate guards,
 and the deterministic training-cost model. Guards and encoding are
 checked on both evaluation paths: a whole frame (``evaluate``) and the
-full state of a search context over it (``true_eval``)."""
+full state of a search context over it (``true_eval``), each under
+a measure set that reads Fisher and MI: ``MEASURES`` for classification,
+``REG_MEASURES`` for regression."""
 import warnings
 
 import numpy as np
@@ -10,12 +12,19 @@ import pytest
 
 from repro.core.literals import UnitLayout
 from repro.core.runner import SearchContext
-from repro.measures import p_acc
+from repro.measures import (
+    PerfVector, p_acc, p_auc, p_f1, p_fsc, p_mae, p_mi, p_mse, p_prec, p_rec,
+    p_train,
+)
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.linear import LinearRegression
 from repro.tasks import CLASSIFICATION, REGRESSION, TabularTask, _encode, _featurize
 
 PATHS = ("frame", "state")
+MEASURES = [
+    p_acc(), p_prec(), p_rec(), p_f1(), p_auc(), p_train(1.0), p_fsc(), p_mi(),
+]
+REG_MEASURES = [p_mse(1.0), p_mae(1.0), p_acc(), p_train(1.0), p_fsc(), p_mi()]
 
 
 def _mk_task(kind=CLASSIFICATION):
@@ -43,10 +52,10 @@ def _pdf(n=200, seed=0):
     )
 
 
-def _context(task, pdf):
+def _context(task, pdf, measures=MEASURES):
     layout = UnitLayout.from_universal(pdf, protected=task.protected_cols())
     return SearchContext(
-        layout=layout, universal_pdf=pdf, task=task, measures=[p_acc()]
+        layout=layout, universal_pdf=pdf, task=task, measures=measures
     )
 
 
@@ -54,7 +63,7 @@ def _evaluate(task, pdf, path):
     """Raw measures of the frame: evaluated whole, or as the universal
     state of a search context built over it."""
     if path == "frame":
-        return task.evaluate(pdf)
+        return task.evaluate(pdf, MEASURES)
     ctx = _context(task, pdf)
     return ctx.true_eval(ctx.layout.full_bits()).raw
 
@@ -94,7 +103,7 @@ def test_split_fraction_near_expected():
 
 
 def test_evaluate_classification_keys():
-    raw = _mk_task().evaluate(_pdf())
+    raw = _mk_task().evaluate(_pdf(), MEASURES)
     for k in ("acc", "precision", "recall", "f1", "auc", "train_time",
               "fisher", "mi", "n_rows", "n_cols"):
         assert k in raw
@@ -114,16 +123,22 @@ def test_evaluate_regression_keys():
     )
     pdf = _pdf()
     pdf["target"] = pdf["x"] * 2.0
-    raw = task.evaluate(pdf)
+    raw = task.evaluate(pdf, REG_MEASURES)
     for k in ("mse", "mae", "rmse", "r2", "acc"):
         assert k in raw
     assert raw["r2"] > 0.9
+
+
+def _pessimal(raw) -> bool:
+    """Every measure of ``MEASURES`` normalizes to its worst value, 1.0."""
+    return PerfVector.from_raw(raw, MEASURES).vector(MEASURES) == (1.0,) * len(MEASURES)
 
 
 @pytest.mark.parametrize("path", PATHS)
 def test_degenerate_too_few_rows(path):
     raw = _evaluate(_mk_task(), _pdf(10), path)
     assert raw["acc"] == 0.0 and raw["f1"] == 0.0
+    assert _pessimal(raw)
 
 
 @pytest.mark.parametrize("path", PATHS)
@@ -132,6 +147,7 @@ def test_degenerate_single_class(path):
     pdf["target"] = 1
     raw = _evaluate(_mk_task(), pdf, path)
     assert raw["acc"] == 0.0
+    assert _pessimal(raw)
 
 
 @pytest.mark.parametrize("path", PATHS)
@@ -139,6 +155,7 @@ def test_degenerate_no_features(path):
     pdf = _pdf()[["key", "target"]]
     raw = _evaluate(_mk_task(), pdf, path)
     assert raw["n_cols"] == 0 and raw["acc"] == 0.0
+    assert _pessimal(raw)
 
 
 @pytest.mark.parametrize("path", PATHS)
@@ -186,20 +203,22 @@ def test_state_path_matches_frame_with_categories():
         model_factory=lambda: LinearRegression(l2=1.0),
         time_unit=1e-6,
     )
-    ctx = _context(task, pdf)
+    ctx = _context(task, pdf, REG_MEASURES)
     full = ctx.layout.full_bits()
     states = [full] + [
         full[:u] + (0,) + full[u + 1:] for u in range(ctx.layout.n_units)
     ]
     for bits in states:
-        assert ctx.true_eval(bits).raw == task.evaluate(ctx.materialize(bits))
+        assert ctx.true_eval(bits).raw == task.evaluate(
+            ctx.materialize(bits), ctx.measures
+        )
 
 
 def test_deterministic_time_unit():
     task = _mk_task()
     pdf = _pdf()
-    r1 = task.evaluate(pdf)
-    r2 = task.evaluate(pdf)
+    r1 = task.evaluate(pdf, MEASURES)
+    r2 = task.evaluate(pdf, MEASURES)
     assert r1["train_time"] == r2["train_time"]
     n_train = len(task.split(pdf.dropna(subset=["target"]))[0])
     assert r1["train_time"] == pytest.approx(1e-6 * n_train * 3)
