@@ -1,7 +1,9 @@
 """Golden skylines: with a fixed time unit, p_Train is a work count and
 the whole search is deterministic, so each MODis method must return the
 recorded skyline bitmaps, spawn count and number of true trainings on
-the small house lake, and the same raw measures in every T entry."""
+the small house lake, and the same raw measures in every T entry. An
+exact ApxMODis search on the small avocado lake pins T on the regression
+path, whose P reads neither Fisher nor MI."""
 import copy
 import dataclasses
 import hashlib
@@ -12,6 +14,7 @@ from repro.core.apx import apx_modis
 from repro.core.bi import bi_modis
 from repro.core.div import div_modis
 from repro.core.runner import SearchContext
+from repro.lake.tasks import avocado_lake
 
 RUNS = {
     "ApxMODis": lambda ctx: apx_modis(ctx, N=80, eps=0.2, max_level=4),
@@ -90,3 +93,27 @@ def test_golden_skyline(golden_ctx, method):
     bitmaps = sorted("".join(map(str, bits)) for bits, _ in res.skyline)
     assert (res.n_spawned, len(ctx.tests), bitmaps) == GOLDEN[method]
     assert t_digest(ctx.tests) == T_DIGEST[method]
+
+
+# sha256 of T after an exact ApxMODis search (N=40, ε 0.1, maxl 4) on
+# the avocado lake at scale 0.1: every state is true-evaluated, by the
+# worker pool as the search expands it.
+AVOCADO_T_DIGEST = "8085621fa2685bb1042260f4501bef3482ed9b6fe6f1fdc2e52cf3abd4eab8de"
+
+
+@pytest.fixture(scope="module")
+def avocado_exact_ctx(spark):
+    """A T3 avocado context with exact valuation (no estimator) and a
+    fixed p_Train unit."""
+    lake, task, measures = avocado_lake(spark, scale=0.1)
+    task = dataclasses.replace(task, time_unit=1.4e-8)
+    return SearchContext.build(
+        spark, lake, task, measures, max_k=6, use_estimator=False, seed=0
+    )
+
+
+def test_golden_avocado_exact(avocado_exact_ctx):
+    ctx = copy.deepcopy(avocado_exact_ctx)
+    res = apx_modis(ctx, N=40, eps=0.1, max_level=4)
+    assert (res.n_spawned, len(ctx.tests)) == (40, 40)
+    assert t_digest(ctx.tests) == AVOCADO_T_DIGEST

@@ -4,6 +4,7 @@ checked on both evaluation paths: a whole frame (``evaluate``) and the
 full state of a search context over it (``true_eval``), each under
 a measure set that reads Fisher and MI: ``MEASURES`` for classification,
 ``REG_MEASURES`` for regression."""
+import hashlib
 import warnings
 
 import numpy as np
@@ -230,3 +231,105 @@ def test_nan_targets_dropped(path):
     pdf.loc[:20, "target"] = np.nan
     raw = _evaluate(_mk_task(), pdf, path)
     assert raw["n_rows"] <= len(pdf) - 20
+
+
+def _nanmedian_impute(X):
+    """The imputation ``_featurize`` must reproduce: each column's NaNs
+    filled with ``np.nanmedian`` of the column, 0.0 in an all-NaN one."""
+    X = X.copy()
+    nan = np.isnan(X)
+    for j in np.flatnonzero(nan.any(axis=0)):
+        miss = nan[:, j]
+        X[miss, j] = 0.0 if miss.all() else np.nanmedian(X[:, j])
+    return X
+
+
+_n = np.nan
+_inf = np.inf
+IMPUTE_CASES = {
+    "odd_and_even_counts": np.array(
+        [[1.0, 4.0], [_n, 2.0], [3.0, _n], [7.0, 8.0], [_n, 1.5]]
+    ),
+    "single_value": np.array([[_n, 1.0], [2.5, _n], [_n, 3.0]]),
+    "all_nan_column": np.array([[_n, 1.0, _n], [_n, _n, 2.0], [_n, 3.0, _n]]),
+    "no_nan": np.arange(12, dtype=float).reshape(4, 3),
+    "ties_and_infinities": np.array(
+        [
+            [1.0, _inf, -_inf, 5.0],
+            [1.0, _n, _inf, 5.0],
+            [_n, 2.0, _n, 5.0],
+            [1.0, _inf, 1.0, _n],
+            [2.0, _n, -_inf, 5.0],
+            [1.0, -_inf, _n, 4.0],
+        ]
+    ),
+    "zero_rows": np.empty((0, 3)),
+    "zero_columns": np.empty((4, 0)),
+    "random": np.where(
+        np.random.default_rng(5).random((301, 7)) < 0.3,
+        np.nan,
+        np.round(np.random.default_rng(6).normal(size=(301, 7)), 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(IMPUTE_CASES))
+def test_featurize_matches_nanmedian(name):
+    """``_featurize`` imputes exactly what a per-column ``np.nanmedian``
+    loop does, byte for byte, and returns the matrix it filled."""
+    X = IMPUTE_CASES[name]
+    want = _nanmedian_impute(X)
+    got = X.copy()
+    assert _featurize(got) is got
+    assert got.tobytes() == want.tobytes()
+
+
+def test_featurize_signed_zero_median():
+    """Signed zeros compare equal but differ in their bytes, and which
+    one lands in the middle depends on how the median orders them, so
+    here the medians are compared by value only (no lake column holds
+    -0.0)."""
+    X = np.array([[-0.0, 0.0], [0.0, _n], [_n, -0.0], [0.0, -0.0], [-0.0, _n]])
+    want = _nanmedian_impute(X)
+    got = _featurize(X.copy())
+    assert (got == want).all() and not np.isnan(got).any()
+
+
+def _object_frame():
+    """A frame with an object column holding nulls, two numeric columns
+    with NaNs (one null in every test row) and a regression target."""
+    pdf = _pdf(300, seed=3)
+    pdf.loc[pdf["key"] % 4 == 0, "cat"] = None
+    pdf["testnull"] = np.where(pdf["key"] % 5 == 0, np.nan, pdf["x"] * 2.0)
+    pdf["y"] = pdf["x"] + (pdf["cat"] == "c") * 1.5 + 0.1 * (pdf["key"] % 3)
+    return pdf
+
+
+def _raw_digest(raw) -> str:
+    return hashlib.sha256(repr(sorted(raw.items())).encode()).hexdigest()
+
+
+# sha256 of the raw dict of each evaluation of ``_object_frame()``:
+# classification with Fisher and MI; ridge regression with categorical
+# codes and without statistics; the same without the object column.
+FRAME_DIGEST = {
+    "classification": "8cc45f2e4c02925000a11dd012755aa33e4a6a1d517cf760a6432d1d72e20c91",
+    "regression": "c709089a87710532a9adcca5440b1ea8232d620888b624ba9cc70218973d0fe1",
+    "regression_numeric": "c95c81dfdda8381842b4fdb3679c2d699db88b8cc04ab852a2b436d7557cb786",
+}
+
+
+@pytest.mark.parametrize("case", list(FRAME_DIGEST))
+def test_evaluate_frame_digest(case):
+    pdf = _object_frame()
+    if case == "classification":
+        task, measures = _mk_task(), MEASURES
+        pdf = pdf.drop(columns="y")
+    else:
+        task = TabularTask(
+            name="r", kind=REGRESSION, target="y", key="key",
+            model_factory=lambda: LinearRegression(l2=1e-4), time_unit=1e-6,
+        )
+        measures = [p_mse(1.0), p_mae(1.0), p_train(1.0)]
+        pdf = pdf.drop(columns=["target"] + (["cat"] if case == "regression_numeric" else []))
+    assert _raw_digest(task.evaluate(pdf, measures)) == FRAME_DIGEST[case]
