@@ -1,8 +1,9 @@
 """Shared SparkSession bootstrap for spark-submit entrypoints.
 
 When launched via ``spark-submit jobs/<name>.py`` the session already
-exists; when launched via plain ``python`` this builds a local session
-like the conftest fixture's. Shuffles get one partition per core
+exists, and it is returned as it is: its confs belong to whoever made
+it. When launched via plain ``python`` this builds a local session like
+the conftest fixture's. Shuffles get one partition per core
 (``defaultParallelism``, the n of ``local[n]``): D_U is a chain of full
 outer joins over some thousand rows, each join shuffles again, and more
 partitions than cores only add tasks.
@@ -21,6 +22,9 @@ def get_spark():
     )
     from pyspark.sql import SparkSession
 
+    running = SparkSession.getActiveSession()
+    if running is not None:
+        return running
     s = (
         SparkSession.builder.appName("repro-job")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")

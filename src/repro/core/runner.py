@@ -201,14 +201,30 @@ class SearchContext:
                 pool.terminate()
                 pool.join()
 
+    def estimating(self) -> bool:
+        """Whether ``valuate`` asks E for a state that is not in T."""
+        return self.estimator is not None and self.estimator.fitted
+
+    def estimate_many(self, bits_list: list[Bits]) -> None:
+        """Predict, in one call to E, the states of ``bits_list`` that are
+        in neither T nor ``est_cache``, and cache them. E scores each row
+        on its own, so a state's vector does not depend on the batch."""
+        todo = [
+            b for b in dict.fromkeys(bits_list)
+            if b not in self.tests and b not in self.est_cache
+        ]
+        if not todo:
+            return
+        feats = np.array([state_features(self.layout, b) for b in todo])
+        for bits, v in zip(todo, np.atleast_2d(self.estimator.predict(feats))):
+            self.est_cache[bits] = tuple(float(x) for x in v)
+
     def valuate(self, bits: Bits) -> Vec:
         """Normalized performance vector via T, else E, else M (§3 (2))."""
         if bits in self.tests:
             return self.tests[bits].vector(self.measures)
-        if self.estimator is not None and self.estimator.fitted:
-            if bits not in self.est_cache:
-                v = self.estimator.predict(state_features(self.layout, bits))
-                self.est_cache[bits] = tuple(float(x) for x in np.atleast_1d(v))
+        if self.estimating():
+            self.estimate_many([bits])
             return self.est_cache[bits]
         return self.true_eval(bits).vector(self.measures)
 
@@ -356,7 +372,9 @@ def frontier_search(
     towards N but not towards ``n_spawned``. Batches of true trainings
     (calibration rounds; with exact valuation and no pruner, the unseen
     children of each expanded state) share one worker pool, which the
-    search stops before it returns.
+    search stops before it returns. With an estimator, the unseen
+    children of an expanded state are predicted in one call, and those
+    not yet admitted again after a round that refits it.
     """
     t0 = time.perf_counter()
     table = ParetoTable(ctx.measures, eps)
@@ -368,9 +386,8 @@ def frontier_search(
     # expanded state until N, so those children can be trained as one
     # batch. Pruning tests read the table as it fills, so a batch there
     # would train states the serial walk prunes.
-    batched = pruner is None and not (
-        ctx.estimator is not None and ctx.estimator.fitted
-    )
+    estimating = ctx.estimating()
+    batched = pruner is None and not estimating
 
     def admit(bits: Bits, level: int, side: int) -> None:
         nonlocal spawned
@@ -414,6 +431,9 @@ def frontier_search(
             if batched:
                 children = first_unseen(children, N - len(seen))
                 ctx._prefetch([c for c, _ in children])
+            elif estimating:
+                children = list(children)
+                ctx.estimate_many([c for c, _ in children if c not in seen])
             for child, _op in children:
                 if child in seen:
                     continue
@@ -425,6 +445,8 @@ def frontier_search(
                 admit(child, level + 1, side)
                 if not levelwise and spawned % CALIBRATE_EVERY == 0:
                     calibration_round(level)
+                    if estimating:  # a refit cleared the cache
+                        ctx.estimate_many([c for c, _ in children if c not in seen])
                 if len(seen) >= N:
                     break
         calibration_round(level)

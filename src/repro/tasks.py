@@ -28,7 +28,7 @@ them (``fisher`` / ``mi``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -72,11 +72,27 @@ def _rank_codes(X: np.ndarray, cat: np.ndarray) -> None:
 
 def _featurize(X: np.ndarray) -> np.ndarray:
     """Median-impute each column's NaNs in place and return X; an
-    all-null column is filled with 0.0."""
-    nan = np.isnan(X)
-    for j in np.flatnonzero(nan.any(axis=0)):
-        miss = nan[:, j]
-        X[miss, j] = 0.0 if miss.all() else np.nanmedian(X[:, j])
+    all-null column is filled with 0.0.
+
+    One ``np.sort`` of the columns that hold a NaN puts each column's
+    non-NaN values first, in order; the median is the middle one, or
+    ``(lo + hi) / 2`` of the middle two, which is what ``np.median``
+    computes. So X equals per-column ``np.nanmedian`` imputation to the
+    bit, but for the sign of a zero median (-0.0 and 0.0 tie in a sort).
+    """
+    miss = np.flatnonzero(np.isnan(X))
+    if not len(miss):
+        return X
+    col = miss % X.shape[1]
+    k = len(X) - np.bincount(col, minlength=X.shape[1])  # non-NaN per column
+    cols = np.flatnonzero(k < len(X))
+    S = np.sort(X[:, cols], axis=0)  # NaNs last
+    kc, at = k[cols], np.arange(len(cols))
+    lo = S[np.maximum(kc - 1, 0) // 2, at]
+    hi = S[kc // 2, at]
+    fill = np.zeros(X.shape[1])
+    fill[cols] = np.where(kc == 0, 0.0, np.where(kc % 2 == 1, lo, (lo + hi) / 2))
+    X.flat[miss] = fill[col]
     return X
 
 
@@ -85,7 +101,7 @@ class Encoded:
     """A frame encoded for evaluation: the feature matrix over ``cols``
     (see :func:`_encode`), which of its columns are categorical, the
     target in its frame dtype, and per-row target-present and test-row
-    masks."""
+    masks; ``pos`` maps a column name to its position in ``cols``."""
 
     cols: list[str]
     X: np.ndarray
@@ -93,6 +109,10 @@ class Encoded:
     y: np.ndarray
     target_ok: np.ndarray
     is_test: np.ndarray
+    pos: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pos", {c: j for j, c in enumerate(self.cols)})
 
 
 @dataclass
@@ -154,16 +174,19 @@ class TabularTask:
 
         The dict always holds the model's scores, ``train_time``,
         ``n_rows`` and ``n_cols``; it holds ``fisher`` and ``mi`` only
-        when a measure of ``measures`` reads them. Categorical codes are
-        ranked within those rows; NaNs are imputed per split (train,
-        test, and all rows when Fisher or MI is read). Degenerate
-        candidates (too few rows, a single class, no features) get
-        pessimal scores instead of raising, so the search can valuate any
-        state the operators produce.
+        when a measure of ``measures`` reads them. Each split, train and
+        test, is gathered from ``enc.X`` once and median-imputed on its
+        own. Only a categorical column or a read statistic builds the
+        matrix of all the state's rows first: categorical codes are
+        ranked within those rows, so a value has one code in both
+        splits, and Fisher and MI are computed on those rows imputed
+        together. Degenerate candidates (too few rows, a single class,
+        no features) get pessimal scores instead of raising, so the
+        search can valuate any state the operators produce.
         """
         stats = {m.raw_key for m in measures} & {"fisher", "mi"}
         rows = np.flatnonzero(mask & enc.target_ok)
-        idx = [enc.cols.index(c) for c in cols]
+        idx = [enc.pos[c] for c in cols]
         test = enc.is_test[rows]
         train_rows, test_rows = rows[~test], rows[test]
         n_rows, n_cols = len(train_rows), len(cols)
@@ -174,10 +197,15 @@ class TabularTask:
         if degenerate:
             return self._worst(len(rows), n_cols, stats)
 
-        X = enc.X[np.ix_(rows, idx)]
-        _rank_codes(X, enc.cat[idx])
-        Xtr = _featurize(X[~test])
-        Xte = _featurize(X[test])
+        # Taking rows, then columns, is faster than one np.ix_ gather.
+        if stats or enc.cat[idx].any():
+            X = enc.X.take(rows, axis=0).take(idx, axis=1)
+            _rank_codes(X, enc.cat[idx])
+            Xtr, Xte = X[~test], X[test]
+        else:
+            Xtr = enc.X.take(train_rows, axis=0).take(idx, axis=1)
+            Xte = enc.X.take(test_rows, axis=0).take(idx, axis=1)
+        Xtr, Xte = _featurize(Xtr), _featurize(Xte)
         yte = enc.y[test_rows]
         model = self.model_factory()
         model.fit(Xtr, ytr)

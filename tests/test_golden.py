@@ -97,7 +97,9 @@ def test_golden_skyline(golden_ctx, method):
 
 # sha256 of T after an exact ApxMODis search (N=40, ε 0.1, maxl 4) on
 # the avocado lake at scale 0.1: every state is true-evaluated, by the
-# worker pool as the search expands it.
+# worker pool as the search expands it. The linear fit's ``Xb.T @ Xb``
+# sums in an order that follows the BLAS thread count, so the digest
+# holds where BLAS runs more than one thread (one CPU gives another).
 AVOCADO_T_DIGEST = "8085621fa2685bb1042260f4501bef3482ed9b6fe6f1fdc2e52cf3abd4eab8de"
 
 

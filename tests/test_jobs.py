@@ -47,7 +47,15 @@ def test_job_rejects_unknown_table(monkeypatch):
 
 
 def test_session_helper_returns_running_spark(spark):
-    # when a session exists, get_spark returns it (no second JVM)
+    """When a session exists, get_spark returns it (no second JVM) and
+    leaves its confs as the session's maker set them."""
+    keys = [
+        "spark.sql.shuffle.partitions",
+        "spark.sql.execution.arrow.pyspark.enabled",
+        "spark.sql.autoBroadcastJoinThreshold",
+    ]
+    before = {k: spark.conf.get(k) for k in keys}
     mod = _load("_session")
     s = mod.get_spark()
     assert s is spark
+    assert {k: spark.conf.get(k) for k in keys} == before

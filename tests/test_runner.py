@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from repro.core.apx import apx_modis
+from repro.core.bi import bi_modis
 from repro.core.dominance import dominates, eps_dominates
 from repro.core.operators import reduct_children
 from repro.core.runner import ParetoTable, SearchContext
+from repro.estimator.mogbm import MOGBMEstimator, state_features
 from repro.lake.tasks import avocado_lake
 from repro.measures import Measure, PerfVector, p_fsc, p_mi
 from repro.tasks import CLASSIFICATION
@@ -130,6 +132,42 @@ def test_valuate_estimator_cached(house_ctx, monkeypatch):
     v2 = house_ctx.valuate(bits)
     assert v1 == v2
     assert len(calls) == 1
+
+
+def test_estimate_many_matches_one_row_predictions(house_ctx):
+    """One batched estimator call caches, for each state in neither T
+    nor the cache, the vector a one-row call gives it, to the bit; a
+    state of T is not predicted."""
+    ctx = dataclasses.replace(house_ctx, est_cache={})
+    rng = np.random.default_rng(3)
+    n = ctx.layout.n_units
+    states = [tuple(int(b) for b in rng.random(n) < 0.7) for _ in range(12)]
+    known = next(iter(ctx.tests))
+    ctx.estimate_many(states + [known])
+    assert known not in ctx.est_cache
+    unseen = [b for b in states if b not in ctx.tests]
+    assert unseen and set(unseen) <= ctx.est_cache.keys()
+    for bits in unseen:
+        one = ctx.estimator.predict(state_features(ctx.layout, bits))
+        assert ctx.est_cache[bits] == tuple(float(x) for x in one)
+
+
+@pytest.mark.parametrize("search", [apx_modis, bi_modis])
+def test_search_batches_estimator_predictions(house_ctx, monkeypatch, search):
+    """A search predicts the unseen children of an expanded state in one
+    estimator call, so it makes fewer calls than it spawns states."""
+    ctx = dataclasses.replace(house_ctx, tests=dict(house_ctx.tests), est_cache={})
+    ctx.refresh_estimator()  # an estimator no earlier test has patched
+    rows = []
+    predict = MOGBMEstimator.predict
+
+    def counting(self, feats):
+        rows.append(len(np.atleast_2d(feats)))
+        return predict(self, feats)
+
+    monkeypatch.setattr(MOGBMEstimator, "predict", counting)
+    res = search(ctx, N=80, eps=0.2, max_level=4)
+    assert max(rows) > 1 and len(rows) < res.n_spawned
 
 
 def test_valuate_vectors_normalized(house_ctx):

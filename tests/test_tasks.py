@@ -268,7 +268,8 @@ IMPUTE_CASES = {
     "random": np.where(
         np.random.default_rng(5).random((301, 7)) < 0.3,
         np.nan,
-        np.round(np.random.default_rng(6).normal(size=(301, 7)), 1),
+        # + 0.0 turns the -0.0 that rounding leaves into 0.0
+        np.round(np.random.default_rng(6).normal(size=(301, 7)), 1) + 0.0,
     ),
 }
 
