@@ -6,15 +6,17 @@ frontier: Augment flips from the BackSt seed — a minimal dataset whose
 partition-attribute clusters cover every target class ("no classes will
 be 'missed' in dataset D_b", §5.3).
 
-Correlation-based pruning (Lemma 4): a Spearman correlation graph G_C
-over the valuated tests T links measures that are strongly correlated
-(|ρ| ≥ θ) with each other and with dataset size. CorrFP parameterizes
-an unvaluated state's measures with ranges interpolated from the
-nearest recorded states by retained-row fraction (Fig. 12 Case 2); a
-state whose parameterized vector is (1+ε)-covered by a current skyline
-entry is pruned without valuation — the monotonicity condition is
-carried by the interpolated bounds. NOBiMODis is the same search with
-pruning disabled.
+Correlation-based pruning, modelled on Lemma 4: a Spearman correlation
+graph G_C over the valuated tests T links measures that are strongly
+correlated (|ρ| ≥ θ) with each other and with dataset size. CorrFP
+parameterizes an unvaluated state's measures with ranges interpolated
+from the nearest recorded states by retained-row fraction (Fig. 12
+Case 2), or with T's observed range; a state whose range lower ends
+are (1+ε)-covered by a current skyline entry is pruned without
+valuation. This is a heuristic, not Lemma 4's guarantee: neither kind
+of range bounds an unseen state, and only the lower ends are compared,
+so a pruned state may have belonged to the skyline. NOBiMODis is the
+same search with pruning disabled.
 
 Both frontiers are the two start states of one level-wise
 ``frontier_search``: each level is expanded best-decisive-first,
@@ -86,7 +88,10 @@ def back_start(ctx: SearchContext) -> Bits:
 # -- correlation machinery ----------------------------------------------
 
 def spearman(x: np.ndarray, y: np.ndarray) -> float:
-    """Spearman rank correlation (ties by average rank via argsort)."""
+    """Pearson correlation of ordinal ranks (a double argsort): tied
+    values get distinct ranks in index order, not their average rank,
+    so ties can move ρ (x=[.5,.5,.5,.5,.9,1] against y=1..6 gives 1.0;
+    average ranks give 0.845)."""
     if len(x) < 3 or np.std(x) == 0 or np.std(y) == 0:
         return 0.0
     rx = np.argsort(np.argsort(x)).astype(float)
@@ -97,7 +102,8 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
 
 
 class CorrPruner:
-    """G_C + CorrFP + the Lemma-4 prune test, refreshed as T grows."""
+    """G_C + CorrFP + a heuristic prune test in the shape of Lemma 4's,
+    refreshed as the search valuates states."""
 
     def __init__(self, ctx: SearchContext, theta: float = 0.8):
         self.ctx = ctx
@@ -124,11 +130,12 @@ class CorrPruner:
     def corr_fp(self, bits: Bits) -> ParamPerf | None:
         """Parameterized performance vector from G_C and T (Fig. 12).
 
-        Per measure: a tight [lo, hi] interpolated from the two
-        recorded states bracketing this state's retained-row fraction
-        when that measure is strongly size-correlated (Case 2), else
-        the observed range over all of T (the generic [p̂_l, p̂_u] of
-        §5.3). None when the correlation evidence is too weak overall.
+        Per measure: the [lo, hi] of the two recorded states bracketing
+        this state's retained-row fraction when that measure is strongly
+        size-correlated (Case 2), else the observed range over all of T
+        (the generic [p̂_l, p̂_u] of §5.3). Neither is a bound on the
+        state's measure: the state may fall outside both. None when the
+        correlation evidence is too weak overall.
         """
         if self._corr_with_size is None or len(self._obs) < 6:
             return None
@@ -155,9 +162,11 @@ class CorrPruner:
         return out
 
     def can_prune(self, param: ParamPerf, table: ParetoTable, eps: float) -> bool:
-        """True iff some skyline entry parameterized-ε-dominates ``param``
-        (then, by the monotonicity of the interpolated bounds along the
-        path, the state and its extensions cannot enter the ε-skyline)."""
+        """True iff some entry of ``table`` ε-covers the lower ends of
+        ``param``: within (1+ε) of every lower end and at or below one of
+        them. The upper ends are not read and the ranges are not bounds,
+        so this does not prove that the state or its extensions stay out
+        of the ε-skyline; it is a heuristic prune."""
         for _, v in table.entries():
             if all(
                 v[j] <= (1 + eps) * param[j][0] for j in range(len(v))

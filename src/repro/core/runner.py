@@ -9,7 +9,9 @@ test cache T of true valuations, and the MO-GBM estimator E seeded from
 a sample of states — so a search valuates most states with a single
 estimator call, as the paper prescribes. ``true_eval_many`` trains M on
 a batch of states in forked worker processes and writes the results
-to T in batch order, exactly as one ``true_eval`` after another would.
+to T in batch order, exactly as one ``true_eval`` after another would;
+its batches are the estimator's seed sample, calibration rounds and a
+skyline verify.
 
 ``ParetoTable`` is procedure UPareto: the (1+ε)-log position grid with
 per-cell replacement on the decisive measure (last measure of P by
@@ -18,7 +20,8 @@ default, §5.1), plus the p_u upper-bound early skip.
 ``frontier_search`` is the one transducer walk behind all four MODis
 methods: start states with their OpGen direction, a frontier heap in
 one of two expansion orders, optional Lemma-4 pruning, UPareto, and
-calibration rounds that enrich T.
+calibration rounds that enrich T. It admits one child at a time, so
+an exact search trains each state where the walk first valuates it.
 """
 from __future__ import annotations
 
@@ -84,7 +87,7 @@ class SearchContext:
     # workers returned that true_eval has not written to T yet.
     _pool: object = field(init=False, repr=False, default=None)
     _pool_held: bool = field(init=False, repr=False, default=False)
-    _prefetched: dict = field(init=False, repr=False, default_factory=dict)
+    _worker_raws: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self.encoded = self.task.encode(self.universal_pdf)
@@ -148,7 +151,7 @@ class SearchContext:
         (or from a worker's result that ``true_eval_many`` received)."""
         if bits in self.tests:
             return self.tests[bits]
-        raw = self._prefetched.pop(bits, None)
+        raw = self._worker_raws.pop(bits, None)
         if raw is None:
             raw = self.evaluate_state(bits)
         pv = PerfVector.from_raw(raw, self.measures)
@@ -156,31 +159,26 @@ class SearchContext:
         return pv
 
     def true_eval_many(self, bits_list: list[Bits]) -> list[PerfVector]:
-        """``[true_eval(b) for b in bits_list]``, with the states missing
-        from T trained in parallel worker processes first."""
-        self._prefetch(bits_list)
-        return [self.true_eval(b) for b in bits_list]
-
-    def _prefetch(self, bits_list: list[Bits]) -> None:
-        """Train M on the distinct states of ``bits_list`` that are not
-        in T, one state per task, on ``min(usable CPUs, states)`` forked
-        workers; ``true_eval`` takes each result from there. With one
-        state or one CPU, nothing runs here and ``true_eval`` trains."""
+        """``[true_eval(b) for b in bits_list]``, with the distinct states
+        missing from T trained first, one state per task, on ``min(usable
+        CPUs, states)`` forked workers; ``true_eval`` takes each result
+        from there. With one state or one CPU, ``true_eval`` trains."""
         missing = [b for b in dict.fromkeys(bits_list) if b not in self.tests]
         workers = min(usable_cpus(), len(missing))
-        if workers < 2:
-            return
-        with self.worker_pool():
-            if self._pool is None:
-                # Forked, not spawned: a fork shares encoded D_U, the layout
-                # and the task without pickling them, and starts in
-                # milliseconds. Workers only train M on numpy arrays; they
-                # never call into Spark, whose Py4J threads a fork drops.
-                self._pool = multiprocessing.get_context("fork").Pool(
-                    workers, _init_worker, (self,)
-                )
-            raws = self._pool.map(_evaluate_in_worker, missing, chunksize=1)
-        self._prefetched.update(zip(missing, raws))
+        if workers > 1:
+            with self.worker_pool():
+                if self._pool is None:
+                    # Forked, not spawned: a fork shares encoded D_U, the
+                    # layout and the task without pickling them, and starts
+                    # in milliseconds. Workers only train M on numpy arrays;
+                    # they never call into Spark, whose Py4J threads a fork
+                    # drops.
+                    self._pool = multiprocessing.get_context("fork").Pool(
+                        workers, _init_worker, (self,)
+                    )
+                raws = self._pool.map(_evaluate_in_worker, missing, chunksize=1)
+            self._worker_raws.update(zip(missing, raws))
+        return [self.true_eval(b) for b in bits_list]
 
     @contextmanager
     def worker_pool(self) -> Iterator[None]:
@@ -196,7 +194,7 @@ class SearchContext:
             yield
         finally:
             pool, self._pool, self._pool_held = self._pool, None, False
-            self._prefetched.clear()
+            self._worker_raws.clear()
             if pool is not None:
                 pool.terminate()
                 pool.join()
@@ -339,12 +337,6 @@ class SearchResult:
             )
         return self.skyline
 
-    def best_by(self, measure_idx: int) -> tuple[Bits, Vec]:
-        """The skyline entry minimizing one normalized measure — the
-        paper's per-table selection rule ('the table in the Skyline set
-        with the best estimated <first metric>')."""
-        return min(self.checked_skyline(), key=lambda e: e[1][measure_idx])
-
 
 OpGen = Callable[[UnitLayout, Bits], Iterator[tuple[Bits, str]]]
 
@@ -369,12 +361,12 @@ def frontier_search(
     each deeper level. A round true-evaluates ``CALIBRATE_K`` entries,
     then calls ``level_hook(table, level)``; the search ends with one
     more. A ``CorrPruner`` drops a child unvaluated (Lemma 4); it counts
-    towards N but not towards ``n_spawned``. Batches of true trainings
-    (calibration rounds; with exact valuation and no pruner, the unseen
-    children of each expanded state) share one worker pool, which the
-    search stops before it returns. With an estimator, the unseen
-    children of an expanded state are predicted in one call, and those
-    not yet admitted again after a round that refits it.
+    towards N but not towards ``n_spawned``. Children are admitted one
+    at a time, in OpGen order. With an estimator, the unseen children of
+    an expanded state are predicted in one call, and those not yet
+    admitted again after a round that refits it. The calibration rounds'
+    true trainings share one worker pool, which the search stops before
+    it returns.
     """
     t0 = time.perf_counter()
     table = ParetoTable(ctx.measures, eps)
@@ -382,12 +374,7 @@ def frontier_search(
     tie = itertools.count()
     seen: set[Bits] = set()
     spawned = 0
-    # Exact valuation without pruning admits every unseen child of an
-    # expanded state until N, so those children can be trained as one
-    # batch. Pruning tests read the table as it fills, so a batch there
-    # would train states the serial walk prunes.
     estimating = ctx.estimating()
-    batched = pruner is None and not estimating
 
     def admit(bits: Bits, level: int, side: int) -> None:
         nonlocal spawned
@@ -399,17 +386,6 @@ def frontier_search(
             pruner.observe(bits, vec)
         key = (level, side, vec[-1]) if levelwise else (vec[-1], level)
         heapq.heappush(heap, (key, next(tie), level, side, bits))
-
-    def first_unseen(children, cap: int) -> list[tuple[Bits, str]]:
-        """The first ``cap`` distinct unseen children, drawing from the
-        OpGen no further than the walk itself would."""
-        picked: dict[Bits, str] = {}
-        for child, op in children:
-            if child not in seen:
-                picked.setdefault(child, op)
-                if len(picked) == cap:
-                    break
-        return list(picked.items())
 
     def calibration_round(level: int) -> None:
         ctx.calibrate(table.entries(), k=CALIBRATE_K)
@@ -428,10 +404,7 @@ def frontier_search(
                 calibration_round(level)
             level = s_level
             children = starts[side][1](ctx.layout, s)
-            if batched:
-                children = first_unseen(children, N - len(seen))
-                ctx._prefetch([c for c, _ in children])
-            elif estimating:
+            if estimating:
                 children = list(children)
                 ctx.estimate_many([c for c, _ in children if c not in seen])
             for child, _op in children:

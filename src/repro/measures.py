@@ -42,9 +42,6 @@ class Measure:
             v = raw / self.raw_ref
         return float(min(max(v, self.lo), 1.0))
 
-    def within_range(self, norm: float) -> bool:
-        return self.lo <= norm <= self.hi
-
 
 @dataclass
 class PerfVector:

@@ -83,9 +83,3 @@ def test_larger_budget_never_fewer_valuations(movie_ctx_true):
     r2 = apx_modis(movie_ctx_true, N=60, eps=0.2, max_level=3)
     assert r2.n_spawned >= r1.n_spawned
 
-
-def test_best_by_selects_minimum(movie_ctx_true):
-    res = apx_modis(movie_ctx_true, N=40, eps=0.2, max_level=4)
-    for j in range(len(movie_ctx_true.measures)):
-        b = res.best_by(j)
-        assert b[1][j] == min(v[j] for _, v in res.skyline)

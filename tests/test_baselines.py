@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines import h2o_fs, hydragan, metam, metam_mo, sksfm, starmie
+from repro.baselines import h2o_fs, metam, metam_mo, sksfm, starmie
 from repro.core.universal import collect_universal
 from repro.measures import PerfVector
 
@@ -74,27 +74,3 @@ def test_h2o_selects_column_subset(hsetup):
     assert len(out.columns) < len(uni.columns)
     assert len(out) == len(uni)
 
-
-def test_hydragan_synthesizes_rows(hsetup):
-    _l, task, _m, uni = hsetup
-    out = hydragan(uni, task, n_rows=100, seed=1)
-    assert 80 <= len(out) <= 120
-    assert set(task.keep_cols()) <= set(out.columns)
-    # synthetic keys are fresh, classes preserved
-    assert set(out[task.target].unique()) <= set(
-        uni[task.target].dropna().unique()
-    )
-
-
-def test_hydragan_regression_target_continuous(movie_small):
-    lake, task, _m = movie_small
-    uni = collect_universal(lake)
-    out = hydragan(uni, task, n_rows=80, seed=2)
-    assert out[task.target].nunique() > 10
-
-
-def test_hydragan_deterministic(hsetup):
-    _l, task, _m, uni = hsetup
-    a = hydragan(uni, task, n_rows=50, seed=3)
-    b = hydragan(uni, task, n_rows=50, seed=3)
-    assert a.equals(b)

@@ -71,7 +71,7 @@ def test_empty_skyline_raises_named_error(movie_ctx_true):
     assert res.skyline == []
     msg = "ApxMODis returned an empty skyline"
     with pytest.raises(ValueError, match=msg):
-        res.best_by(0)
+        res.checked_skyline()
     with pytest.raises(ValueError, match=msg):
         run_modis(
             ctx, "ApxMODis", select_key=ctx.measures[0].raw_key,

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro import measures as ms
-from repro.measures import Measure, PerfVector
+from repro.measures import PerfVector
 from repro.ml.kmeans import kmeans, kmeans_1d
 
 
@@ -74,13 +74,6 @@ def test_unbounded_higher_better_uses_reciprocal():
 def test_error_measure_direction():
     m = ms.p_mse(ref=4.0)
     assert m.normalize(1.0) < m.normalize(3.0)
-
-
-def test_within_range():
-    m = Measure("p", "x", False, lo=0.1, hi=0.8)
-    assert m.within_range(0.5)
-    assert not m.within_range(0.9)
-    assert not m.within_range(0.05)
 
 
 def test_perfvector_from_raw_and_vector():

@@ -2,7 +2,10 @@
 
 The pooled path must write the same T as one ``true_eval`` after
 another: the same states in the same insertion order with equal raw
-measures, hence the same skylines and spawn counts. Every comparison
+measures, hence the same skylines and spawn counts. Its batches are the
+estimator's seed sample, calibration rounds and a skyline verify; a
+search admits one child at a time, so an exact search trains in this
+process and forks no worker. Every comparison
 here uses ``==`` on raw dicts and vectors. The serial path is forced by
 reporting one usable CPU; ``tests/conftest.py`` fails any test that
 leaves a worker process running.
@@ -57,6 +60,12 @@ def t_entries(ctx: SearchContext) -> list:
     return [(bits, pv.raw) for bits, pv in ctx.tests.items()]
 
 
+def reduct_batch(ctx: SearchContext) -> list:
+    """s_U and its single-Reduct children."""
+    full = ctx.layout.full_bits()
+    return [full] + [bits for bits, _ in reduct_children(ctx.layout, full)]
+
+
 def serial_and_pooled(monkeypatch, run, pools):
     """``run()`` with one usable CPU, then with four; the serial run must
     fork no worker."""
@@ -71,9 +80,9 @@ def serial_and_pooled(monkeypatch, run, pools):
 @pytest.mark.parametrize("method", list(MODIS_ALGOS))
 def test_pooled_search_matches_serial(movie_ctx_true, monkeypatch, pools, method):
     """Each method's exact search and skyline verify: T keys in order,
-    raw dicts, skyline and ``n_spawned`` equal on both paths. BiMODis
-    prunes, so its children are not batched, and an exact skyline is
-    already in T: it must fork nothing."""
+    raw dicts, skyline and ``n_spawned`` equal with one and with four
+    usable CPUs. An exact search trains each child as the walk admits
+    it, and an exact skyline is already in T: neither forks a worker."""
 
     def run():
         ctx = fresh(movie_ctx_true)
@@ -84,23 +93,20 @@ def test_pooled_search_matches_serial(movie_ctx_true, monkeypatch, pools, method
     serial, pooled = serial_and_pooled(monkeypatch, run, pools)
     assert pooled == serial
     assert len(serial[0]) >= 20
-    if method == "BiMODis":
-        assert pools == []
-    else:
-        assert pools == [4]  # one pool for the whole search
+    assert pools == []
 
 
 def test_pooled_search_matches_serial_without_statistics(
     movie_ctx_true, monkeypatch, pools
 ):
     """With a measure set that has no p_Fsc or p_MI, workers and the
-    serial path score the same states the same way: equal T, and no
+    serial path score the same batch the same way: equal T, and no
     ``fisher`` or ``mi`` key in it."""
     measures = [m for m in movie_ctx_true.measures if m.raw_key not in ("fisher", "mi")]
 
     def run():
         ctx = dataclasses.replace(fresh(movie_ctx_true), measures=measures)
-        apx_modis(ctx, N=40, eps=0.2, max_level=3)
+        ctx.true_eval_many(reduct_batch(ctx))
         return t_entries(ctx)
 
     serial, pooled = serial_and_pooled(monkeypatch, run, pools)
@@ -154,14 +160,13 @@ def test_pooled_seeding_writes_through_true_eval(
 
 
 def test_one_cpu_affinity_creates_no_pool(movie_ctx_true, monkeypatch, pools):
-    """Pinned to one CPU, a search and a batch run in this process and
-    give the same T and skyline as the pooled path."""
+    """Pinned to one CPU, a batch runs in this process and gives the
+    same T as the pooled path."""
 
     def run():
         ctx = fresh(movie_ctx_true)
-        res = apx_modis(ctx, N=30, eps=0.2, max_level=3)
-        ctx.true_eval_many([bits for bits, _ in res.skyline])
-        return t_entries(ctx), res.skyline
+        ctx.true_eval_many(reduct_batch(ctx))
+        return t_entries(ctx)
 
     cpus = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(cpus)})
@@ -173,7 +178,7 @@ def test_one_cpu_affinity_creates_no_pool(movie_ctx_true, monkeypatch, pools):
     assert pools == []
     set_cpus(monkeypatch, 4)
     assert run() == pinned
-    assert pools
+    assert pools == [4]
 
 
 @pytest.mark.parametrize("cpus", [1, 4])
@@ -182,30 +187,37 @@ def test_factory_error_in_batch_propagates(movie_ctx_true, monkeypatch, pools, c
     a pooled batch as from the serial path, and T stays empty."""
     set_cpus(monkeypatch, cpus)
     ctx = fresh(movie_ctx_true, model_factory=failing_factory)
-    full = ctx.layout.full_bits()
-    batch = [full] + [bits for bits, _ in reduct_children(ctx.layout, full)][:5]
     with pytest.raises(FactoryError):
-        ctx.true_eval_many(batch)
+        ctx.true_eval_many(reduct_batch(ctx)[:6])
     assert ctx.tests == {}
     assert len(pools) == (cpus > 1)
     assert multiprocessing.active_children() == []
 
 
-def test_factory_error_in_search_stops_workers(movie_ctx_true, monkeypatch, pools):
-    """An exception in the search's batched children propagates out of
-    the search, and the search's worker pool is stopped."""
-    set_cpus(monkeypatch, 4)
-    parent, build = os.getpid(), movie_ctx_true.task.model_factory
+def test_factory_error_in_search_stops_workers(
+    spark, house_small, monkeypatch, pools
+):
+    """An exception in a worker during a calibration round of an
+    estimator search propagates out of the search, the search's worker
+    pool is stopped, and T keeps only the seed sample."""
+    lake, task, measures = house_small
+    set_cpus(monkeypatch, 1)  # seed here, so ``pools`` sees only the search's pool
+    seeded = SearchContext.build(spark, lake, task, measures, max_k=8, n_seed=6, seed=0)
+    parent, build = os.getpid(), task.model_factory
 
     def factory():
         if os.getpid() != parent:
             raise FactoryError("model factory failed in a worker")
         return build()
 
-    ctx = fresh(movie_ctx_true, model_factory=factory)
+    ctx = dataclasses.replace(
+        seeded, task=dataclasses.replace(task, model_factory=factory)
+    )
+    n_seeded = len(ctx.tests)
+    set_cpus(monkeypatch, 4)
     with pytest.raises(FactoryError, match="in a worker"):
-        apx_modis(ctx, N=30, eps=0.2, max_level=3)
-    assert list(ctx.tests) == [ctx.layout.full_bits()]  # s_U, trained here
+        apx_modis(ctx, N=80, eps=0.2, max_level=4)
+    assert len(ctx.tests) == n_seeded
     assert pools
     assert multiprocessing.active_children() == []
-    assert ctx._pool is None and ctx._prefetched == {}
+    assert ctx._pool is None and ctx._worker_raws == {}
