@@ -16,6 +16,8 @@ from repro.core.div import div_modis
 from repro.core.runner import SearchContext
 from repro.lake.tasks import avocado_lake
 
+from .blas import by_blas_core
+
 RUNS = {
     "ApxMODis": lambda ctx: apx_modis(ctx, N=80, eps=0.2, max_level=4),
     "NOBiMODis": lambda ctx: bi_modis(ctx, N=80, eps=0.2, max_level=4, prune=False),
@@ -98,9 +100,15 @@ def test_golden_skyline(golden_ctx, method):
 # sha256 of T after an exact ApxMODis search (N=40, ε 0.1, maxl 4) on
 # the avocado lake at scale 0.1: every state is true-evaluated, by the
 # worker pool as the search expands it. The linear fit's ``Xb.T @ Xb``
-# sums in an order that follows the BLAS thread count, so the digest
-# holds where BLAS runs more than one thread (one CPU gives another).
-AVOCADO_T_DIGEST = "8085621fa2685bb1042260f4501bef3482ed9b6fe6f1fdc2e52cf3abd4eab8de"
+# sums in an order that follows the BLAS thread count and kernel set,
+# so the digests hold where BLAS runs more than one thread (one CPU
+# gives others), one per kernel set.
+AVOCADO_T_DIGEST = by_blas_core(
+    SkylakeX="8085621fa2685bb1042260f4501bef3482ed9b6fe6f1fdc2e52cf3abd4eab8de",
+    Haswell="caaca9adfcf58b53fa54413fa03551d49e749c773fe43df6623903126f1f358c",
+    Zen="caaca9adfcf58b53fa54413fa03551d49e749c773fe43df6623903126f1f358c",
+    Prescott="58c6302cfdfc9f9dd2abbade2f410c05412f0d4aab6469c7319ff1ebb4c58e8c",
+)
 
 
 @pytest.fixture(scope="module")

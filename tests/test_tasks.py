@@ -21,6 +21,8 @@ from repro.ml.forest import RandomForestClassifier
 from repro.ml.linear import LinearRegression
 from repro.tasks import CLASSIFICATION, REGRESSION, TabularTask, _encode, _featurize
 
+from .blas import by_blas_core
+
 PATHS = ("frame", "state")
 MEASURES = [
     p_acc(), p_prec(), p_rec(), p_f1(), p_auc(), p_train(1.0), p_fsc(), p_mi(),
@@ -313,10 +315,21 @@ def _raw_digest(raw) -> str:
 # sha256 of the raw dict of each evaluation of ``_object_frame()``:
 # classification with Fisher and MI; ridge regression with categorical
 # codes and without statistics; the same without the object column.
+# The ridge fit runs through BLAS, so its digests are per kernel set.
 FRAME_DIGEST = {
     "classification": "8cc45f2e4c02925000a11dd012755aa33e4a6a1d517cf760a6432d1d72e20c91",
-    "regression": "c709089a87710532a9adcca5440b1ea8232d620888b624ba9cc70218973d0fe1",
-    "regression_numeric": "c95c81dfdda8381842b4fdb3679c2d699db88b8cc04ab852a2b436d7557cb786",
+    "regression": by_blas_core(
+        SkylakeX="c709089a87710532a9adcca5440b1ea8232d620888b624ba9cc70218973d0fe1",
+        Haswell="759782a7ef607892741a02a64632e0132fdd6afe8489622d027633db60230b91",
+        Zen="759782a7ef607892741a02a64632e0132fdd6afe8489622d027633db60230b91",
+        Prescott="f2a6f7f97cf8f890fbe1112c1d259f43778dd56b9b6febf75bf417a5471e01af",
+    ),
+    "regression_numeric": by_blas_core(
+        SkylakeX="c95c81dfdda8381842b4fdb3679c2d699db88b8cc04ab852a2b436d7557cb786",
+        Haswell="98e6daf5d1235a684ad7d9b3946c8080d83ca43e21edb119b8cd01fd5a83e6a8",
+        Zen="98e6daf5d1235a684ad7d9b3946c8080d83ca43e21edb119b8cd01fd5a83e6a8",
+        Prescott="efc3a35d44fc58c399ce5330bcc1269d15786a070c7034652b45c71cf822a1af",
+    ),
 }
 
 
