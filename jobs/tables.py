@@ -1,6 +1,8 @@
-"""Regenerate one evaluation table and write results/<table>.json.
+"""Regenerate one evaluation table or Exp-3 sweep and write
+results/<table>.json.
 
-    spark-submit jobs/tables.py {table2,table4,table5,table6}
+    spark-submit jobs/tables.py {table2,table4,table5,table6,
+                                 exp3_eps,exp3_maxl,exp3_adom,exp3_attrs}
 
 Exits non-zero when on some task no MODis output beats Original.
 """

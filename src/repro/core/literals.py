@@ -167,7 +167,3 @@ class UnitLayout:
     def approx_n_rows(self, bits: Bits) -> int:
         """Exact retained-row count (cheap: vectorized mask)."""
         return int(self.row_mask(bits).sum())
-
-    def describe(self, bits: Bits) -> str:
-        on = [self.unit_names[i] for i, b in enumerate(bits) if b]
-        return ", ".join(on)

@@ -56,8 +56,11 @@ def run_modis(
     Every skyline entry is true-evaluated, in one batch; the entry with
     the best ``select_key`` raw measure is reported (paper's per-task
     selection rule), with the search wall time as the method's
-    discovery cost. An empty skyline raises ``ValueError``.
+    discovery cost, and in ``extra`` the true trainings the search and
+    this verify added to T (``n_true``) and the bitmap's unit count
+    (``n_units``). An empty skyline raises ``ValueError``.
     """
+    n_tests = len(ctx.tests)
     res: SearchResult = MODIS_ALGOS[method](ctx, dict(search_kw or {}))
     skyline = res.checked_skyline()
     pvs = ctx.true_eval_many([bits for bits, _ in skyline])
@@ -75,7 +78,12 @@ def run_modis(
         n_rows=ctx.layout.approx_n_rows(best_bits),
         n_cols=len(ctx.task.keep_cols()) + len(ctx.layout.active_columns(best_bits)),
         wall_time=res.wall_time,
-        extra={"skyline_size": len(res.skyline), "n_spawned": res.n_spawned},
+        extra={
+            "skyline_size": len(res.skyline),
+            "n_spawned": res.n_spawned,
+            "n_true": len(ctx.tests) - n_tests,
+            "n_units": ctx.layout.n_units,
+        },
     )
 
 
@@ -112,6 +120,12 @@ def format_table(
     lines.append(
         "\t".join(
             ["Discovery s"] + [f"{r.wall_time:.2f}" for r in rows]
+        )
+    )
+    lines.append(
+        "\t".join(
+            ["True trainings"]
+            + [str(r.extra.get("n_true", "/")) for r in rows]
         )
     )
     return "\n".join(lines)

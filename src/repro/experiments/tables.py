@@ -1,10 +1,12 @@
 """The paper's evaluation tables (§6): one spec per task, one runner.
 
 ``TASKS`` holds the spec of each task T1–T5 and ``TABLES`` the tasks
-each of Tables 2, 4, 5 and 6 reports. ``run_task`` runs one spec's
-methods on its lake; ``main`` prints a table and writes it, with the
-specs it ran, to ``results/<table>.json``. Table 2 reports the size of
-each task's lake and runs no method.
+each of Tables 2, 4, 5 and 6 reports, plus Exp-3's sweeps (Fig. 10):
+copies of a task's spec that vary ε, maxl, |adom| or the lake's
+attributes. ``run_task`` runs one spec's methods on its lake; ``main``
+prints a table and writes it, with the specs it ran, to
+``results/<table>.json``. Table 2 reports the size of each task's lake
+and runs no method.
 
 Methods (paper §6 "Algorithms"): Original (the universal table D_U),
 METAM, METAM-MO, Starmie, SkSFM, H2O and the four MODis algorithms.
@@ -13,13 +15,17 @@ Table 5 compares Original with the MODis algorithms only.
 from __future__ import annotations
 
 import copy
+import ctypes
+import glob
 import json
+import os
 import platform
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.baselines import h2o_fs, metam, metam_mo, sksfm, starmie
@@ -64,6 +70,8 @@ class TaskSpec:
     eps: float = 0.1
     max_level: int = 6
     n_seed: int = 12
+    max_k: int = 12  # literals per clustered attribute (Exp-3's |adom|)
+    force_cluster: tuple[str, ...] = ()  # attributes clustered to max_k
     methods: tuple[str, ...] = ALL_METHODS
 
 
@@ -100,11 +108,33 @@ TASKS = {
     )
 }
 
+# Exp-3's sweeps change one setting of a task's spec (maxl's also sets
+# ε 0.2) and compare discovery cost: wall time and true trainings.
 TABLES = {
     "table2": tuple(TASKS.values()),
     "table4": (TASKS["T2_house"], TASKS["T4_mental"]),
     "table5": (TASKS["T5_graph"],),
     "table6": (TASKS["T1_movie"], TASKS["T3_avocado"]),
+    "exp3_eps": tuple(
+        replace(TASKS["T1_movie"], name=f"T1_movie_eps{e}", eps=e,
+                methods=("Original", *MODIS_ALGOS))
+        for e in (0.1, 0.2, 0.3, 0.4, 0.5)
+    ),
+    "exp3_maxl": tuple(
+        replace(TASKS["T1_movie"], name=f"T1_movie_maxl{level}", eps=0.2,
+                max_level=level, methods=("Original", "ApxMODis", "BiMODis"))
+        for level in (2, 4, 6)
+    ),
+    "exp3_adom": tuple(
+        replace(TASKS["T2_house"], name=f"T2_house_k{k}", max_k=k,
+                force_cluster=("b_info0",),
+                methods=("Original", "ApxMODis", "BiMODis"))
+        for k in (3, 6, 12)
+    ),
+    "exp3_attrs": tuple(
+        replace(TASKS[t], methods=("Original", "BiMODis"))
+        for t in ("T1_movie", "T2_house")
+    ),
 }
 
 
@@ -114,7 +144,10 @@ def run_task(spark: SparkSession, spec: TaskSpec) -> list[MethodRow]:
     so no method starts from the T or estimator another one left and a
     row does not depend on the order of ``spec.methods``."""
     lake, task, measures = spec.lake(spark, scale=spec.scale)
-    ctx = SearchContext.build(spark, lake, task, measures, n_seed=spec.n_seed)
+    ctx = SearchContext.build(
+        spark, lake, task, measures, max_k=spec.max_k,
+        force_cluster=spec.force_cluster, n_seed=spec.n_seed,
+    )
     search_kw = {"N": spec.N, "eps": spec.eps, "max_level": spec.max_level}
     rows: list[MethodRow] = []
     for m in spec.methods:
@@ -141,6 +174,22 @@ def run_task(spark: SparkSession, spec: TaskSpec) -> list[MethodRow]:
     return rows
 
 
+def blas_core() -> str:
+    """The name OpenBLAS gives its loaded kernel set (``"SkylakeX"``,
+    ``"Haswell"``, ...), or ``"unknown"`` where numpy ships no OpenBLAS
+    that reports one. Raw measures that pass through a BLAS call (the
+    ridge regression's fit) round differently per kernel set."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libopenblas*"))):
+        lib = ctypes.CDLL(path)
+        for name in ("openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return "unknown"
+
+
 def modis_beats_original(spec: TaskSpec, rows: list[MethodRow]) -> bool:
     """Whether the best MODis output beats Original on the selection key."""
     sign = 1.0 if spec.maximize else -1.0
@@ -154,7 +203,11 @@ def main(spark: SparkSession, table: str) -> int:
     on the selection key, else 0."""
     record = {
         "table": table,
-        "host": {"platform": platform.platform(), "cpus": usable_cpus()},
+        "host": {
+            "platform": platform.platform(),
+            "cpus": usable_cpus(),
+            "blas_core": blas_core(),
+        },
         "tasks": [],
     }
     failed = []

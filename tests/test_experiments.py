@@ -10,7 +10,12 @@ import pytest
 import repro.experiments.common as common
 from repro.core.apx import apx_modis
 from repro.experiments import tables
-from repro.experiments.common import MethodRow, format_table, run_modis
+from repro.experiments.common import (
+    MODIS_ALGOS,
+    MethodRow,
+    format_table,
+    run_modis,
+)
 from repro.experiments.tables import (
     TABLES,
     TASKS,
@@ -19,6 +24,15 @@ from repro.experiments.tables import (
 )
 
 SMALL = {"N": 50, "eps": 0.2, "max_level": 3, "n_seed": 4}
+
+# The spec fields each Exp-3 sweep may change besides name and methods;
+# every point of the maxl sweep runs at ε 0.2.
+SWEPT = {
+    "exp3_eps": {"eps"},
+    "exp3_maxl": {"eps", "max_level"},
+    "exp3_adom": {"max_k", "force_cluster"},
+    "exp3_attrs": set(),
+}
 
 
 def test_table2_structure(spark, tmp_path, monkeypatch):
@@ -121,7 +135,7 @@ def test_run_task_is_deterministic(spark):
 def test_format_table_layout():
     rows = [
         MethodRow("A", {"f1": 0.5, "acc": 0.6}, 10, 3, 1.0),
-        MethodRow("B", {"f1": 0.7}, 20, 4, 2.0),
+        MethodRow("B", {"f1": 0.7}, 20, 4, 2.0, extra={"n_true": 7}),
     ]
     txt = format_table(rows, [("p_F1", "f1"), ("p_Acc", "acc")])
     lines = txt.splitlines()
@@ -129,6 +143,7 @@ def test_format_table_layout():
     assert "0.5000" in lines[1] and "0.7000" in lines[1]
     assert "/" in lines[2]  # missing measure rendered as '/'
     assert "(10, 3)" in lines[3]
+    assert lines[5].split("\t") == ["True trainings", "/", "7"]
 
 
 def test_table5_structure(spark, tmp_path, monkeypatch):
@@ -139,6 +154,7 @@ def test_table5_structure(spark, tmp_path, monkeypatch):
     monkeypatch.setitem(TABLES, "table5", (spec,))
     assert tables.main(spark, "table5") == 0
     out = json.loads((tmp_path / "results" / "table5.json").read_text())
+    assert set(out["host"]) == {"platform", "cpus", "blas_core"}
     (entry,) = out["tasks"]
     assert entry["spec"]["N"] == 50 and entry["spec"]["lake"] == "graph_lake"
     assert [r["method"] for r in entry["rows"]] == [
@@ -152,6 +168,48 @@ def test_table5_structure(spark, tmp_path, monkeypatch):
         for _, key in spec.measures:
             assert key in r["raw"]
         assert r["n_rows"] > 0 and r["n_cols"] > 0
+
+
+@pytest.mark.parametrize("table", [t for t in TABLES if t.startswith("exp3_")])
+def test_exp3_specs_change_only_the_swept_field(table):
+    """Each sweep point is its task's spec with only the swept field
+    changed, runs Original and MODis methods only, and the points of a
+    sweep differ in the swept field."""
+    specs = TABLES[table]
+    for spec in specs:
+        (base,) = [t for t in TASKS.values() if t.lake is spec.lake]
+        changed = {
+            f.name for f in dataclasses.fields(spec)
+            if getattr(spec, f.name) != getattr(base, f.name)
+        }
+        assert changed <= {"name", "methods", *SWEPT[table]}
+        assert spec.methods[0] == "Original"
+        assert set(spec.methods[1:]) <= set(MODIS_ALGOS)
+    points = {
+        (spec.lake, *(getattr(spec, f) for f in sorted(SWEPT[table])))
+        for spec in specs
+    }
+    assert len(points) == len(specs)
+
+
+def test_exp3_rows_report_true_trainings(spark, tmp_path, monkeypatch):
+    """A sweep's MODis rows carry the true trainings the method added to
+    T and the bitmap's unit count, which grows with the |adom| knob."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(TABLES, "exp3_adom", tuple(
+        dataclasses.replace(t, scale=0.1, **SMALL) for t in TABLES["exp3_adom"]
+    ))
+    assert tables.main(spark, "exp3_adom") == 0
+    out = json.loads((tmp_path / "results" / "exp3_adom.json").read_text())
+    units = []
+    for entry in out["tasks"]:
+        modis = [r for r in entry["rows"] if r["method"] in MODIS_ALGOS]
+        assert [r["method"] for r in modis] == ["ApxMODis", "BiMODis"]
+        for r in modis:
+            assert r["extra"]["n_true"] > 0
+        assert len({r["extra"]["n_units"] for r in modis}) == 1
+        units.append(modis[0]["extra"]["n_units"])
+    assert units == sorted(set(units))
 
 
 def test_modis_beats_original_follows_direction():

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from repro.experiments.tables import TABLES
+
 JOBS = pathlib.Path(__file__).resolve().parent.parent / "jobs"
 
 
@@ -19,7 +21,7 @@ def _load(name):
     return mod
 
 
-@pytest.mark.parametrize("table", ["table2", "table4", "table5", "table6"])
+@pytest.mark.parametrize("table", list(TABLES))
 def test_job_importable_with_main(table, monkeypatch):
     """jobs/tables.py runs the named table on a session it stops, and
     exits with the table's status."""

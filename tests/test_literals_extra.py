@@ -79,14 +79,6 @@ def test_cluster_counts_sum_to_nonnull():
     assert layout.cluster_counts["lowcard"].sum() == pdf["lowcard"].notna().sum()
 
 
-def test_describe_lists_active_units():
-    layout = UnitLayout.from_universal(
-        _pdf(), protected={"key", "target"}, max_k=4
-    )
-    desc = layout.describe(layout.full_bits())
-    assert "col:cont" in desc and "val:lowcard=0" in desc
-
-
 def test_exact_baseline_theorem1(spark, movie_small):
     """Theorem 1's FPT exact algorithm: exhaust a bounded running, apply
     Kung's skyline. The (N, ε)-approximation must ε-cover that exact
